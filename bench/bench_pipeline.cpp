@@ -1,8 +1,9 @@
 // Pipelined-executor study (paper Fig. 7, measured on the real host):
 // wall-clock phase attribution of the CB-block loop with the packing IO
-// overlap turned off (serial executor: pack -> compute -> flush in strict
-// sequence) and on (pipelined executor: block i+1's non-shared surfaces
-// pack while block i computes, on a persistent spin-barrier team).
+// overlap turned off (CakeExec::kSerial, lookahead 0: each block's packing
+// runs in its own phase before its compute) and on (kPipelined, lookahead
+// 1: block i+1's non-shared surfaces pack while block i computes). Both
+// run the one CB executor on a persistent spin-barrier team.
 //
 // Shapes are chosen so packing is a significant share of serial runtime
 // (§5.2.1: skewed shapes) plus a large square control where compute

@@ -132,42 +132,6 @@ TileSpan make_span(int buffer, int slot, index_t gen, Access access,
     return s;
 }
 
-/// Emit the flush of the departing column recorded in `fl`'s flush_*
-/// fields as row-group (pipelined) or worker-chunk (serial) ops.
-void emit_flush_ops(IrBuilder& b, const BlockStep& fl, index_t nr,
-                    index_t m_blk, index_t n_blk, bool beta_nonzero,
-                    std::uint64_t elem, bool pipelined, int p)
-{
-    const bool rmw = fl.flush_revisit || beta_nonzero;
-    const index_t um0 = fl.flush_coord.m * m_blk;
-    const index_t un0 = fl.flush_coord.n * n_blk;
-    auto emit = [&](index_t r0, index_t r1, int worker) {
-        TileOp& op =
-            b.add_op(OpKind::kFlush, fl.step, fl.flush_coord, worker);
-        op.spans.push_back(make_span(
-            kBufAccC, 0, fl.flush_gen, Access::kRead, r0, r1, 0,
-            ceil_div(fl.flush_ni, nr), /*creates=*/false, /*closes=*/true));
-        op.spans.push_back(make_span(
-            kBufUserC, 0, 0, rmw ? Access::kReadWrite : Access::kWrite,
-            um0 + r0, um0 + r1, un0, un0 + fl.flush_ni));
-        const auto bytes = static_cast<std::uint64_t>(r1 - r0)
-            * static_cast<std::uint64_t>(fl.flush_ni) * elem;
-        op.dram_write_bytes = bytes;
-        if (rmw) op.dram_read_bytes = bytes;
-    };
-    if (pipelined) {
-        const index_t items = ceil_div(fl.flush_mi, kRowGroup);
-        for (index_t i = 0; i < items; ++i) {
-            emit(i * kRowGroup, std::min(fl.flush_mi, (i + 1) * kRowGroup),
-                 -1);
-        }
-    } else {
-        for (const Chunk& c : parallel_chunks(fl.flush_mi, p)) {
-            emit(c.lo, c.hi, c.tid);
-        }
-    }
-}
-
 }  // namespace
 
 ScheduleIR extract_cake_ir(const GemmShape& shape,
@@ -177,8 +141,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     CAKE_CHECK_MSG(exec != Exec::kGoto,
                    "extract_cake_ir handles serial/pipelined only");
     CAKE_CHECK(shape.m >= 1 && shape.n >= 1 && shape.k >= 1);
-    const bool pipelined = exec == Exec::kPipelined;
-    const int p = params.p;
+    const int lookahead = exec == Exec::kPipelined ? 1 : 0;
     const index_t mr = params.mr;
     const index_t nr = params.nr;
     const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
@@ -189,7 +152,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     ir.schedule = kind;
     ir.shape = shape;
     ir.params = params;
-    ir.p = p;
+    ir.p = params.p;
     ir.mb = ceil_div(shape.m, params.m_blk);
     ir.nb = ceil_div(shape.n, params.n_blk);
     ir.kb = ceil_div(shape.k, params.k_blk);
@@ -198,23 +161,18 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     ir.use_prepacked = use_prepacked;
     ir.beta_nonzero = beta_nonzero;
     ir.expected_accums = ir.kb;
-    ir.order = build_schedule(kind, ir.mb, ir.nb, ir.kb, ir.n_outermost);
 
-    // The SAME plan the executors consume (core/block_plan.cpp).
-    BlockPlanInputs pin;
-    pin.params = params;
-    pin.m = shape.m;
-    pin.n = shape.n;
-    pin.k = shape.k;
-    pin.ldc = shape.n;
-    pin.nb = ir.nb;
-    pin.kb = ir.kb;
-    pin.use_prepacked = use_prepacked;
-    pin.beta_nonzero = beta_nonzero;
-    pin.double_buffer = pipelined;
-    const BlockPlan plan = build_block_plan(ir.order, pin);
+    // The SAME order, plan and phase list the CB executor runs
+    // (core/block_plan.cpp, core/cb_executor.cpp).
+    const LoweredPlan lowered = lower_multiply(
+        {.params = params, .m = shape.m, .n = shape.n, .k = shape.k,
+         .ldc = shape.n, .use_prepacked = use_prepacked,
+         .beta_nonzero = beta_nonzero},
+        kind, lookahead);
+    const BlockPlan& plan = lowered.plan;
+    ir.order = lowered.order;
 
-    const int pack_slots = pipelined ? 2 : 1;
+    const int pack_slots = lookahead == 1 ? 2 : 1;
     ir.buffers = {
         {"user A", BufKind::kUserA, 1},
         {"user B", BufKind::kUserB, 1},
@@ -224,47 +182,35 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         {"local C", BufKind::kAccC, 1},
     };
 
-    // Pack-generation ordinals per step, in plan order.
-    const auto steps = static_cast<index_t>(plan.steps.size());
-    std::vector<index_t> a_gen_of(static_cast<std::size_t>(steps), 0);
-    std::vector<index_t> b_gen_of(static_cast<std::size_t>(steps), 0);
-    {
-        index_t ag = -1, bg = -1;
-        for (index_t t = 0; t < steps; ++t) {
-            const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-            if (st.pack_a) ++ag;
-            if (st.pack_b) ++bg;
-            a_gen_of[static_cast<std::size_t>(t)] = std::max<index_t>(ag, 0);
-            b_gen_of[static_cast<std::size_t>(t)] = std::max<index_t>(bg, 0);
-        }
-    }
-
-    // --- shared op emitters -------------------------------------------
-    // Pack a range of mr slivers of step st's A surface (sliver-indexed
+    // --- one op emitter per item kind; every op is dynamically claimed
+    // by the team (worker = -1), exactly like the executor's work items.
+    // Pack one item's mr slivers of step st's A surface (sliver-indexed
     // rows of the packed-A panel; element rows of user A).
-    auto emit_pack_a = [&](const BlockStep& st, index_t s0, index_t s1,
-                           int worker) {
+    auto emit_pack_a = [&](const BlockStep& st, index_t item) {
+        const auto [s0, s1] =
+            item_range(item, kPackAGroup, ceil_div(st.mi, mr));
         const index_t r0 = s0 * mr;
         const index_t r1 = std::min(st.mi, s1 * mr);
-        TileOp& op = b.add_op(OpKind::kPackA, st.step, st.coord, worker);
+        TileOp& op = b.add_op(OpKind::kPackA, st.step, st.coord, -1);
         op.spans.push_back(make_span(kBufUserA, 0, 0, Access::kRead,
                                      st.m0 + r0, st.m0 + r1, st.k0,
                                      st.k0 + st.ki));
         op.spans.push_back(make_span(
-            kBufPackA, st.a_slot, a_gen_of[static_cast<std::size_t>(st.step)],
+            kBufPackA, st.a_slot, st.a_gen,
             Access::kWrite, s0, s1, 0, 1, /*creates=*/true));
         op.dram_read_bytes = static_cast<std::uint64_t>(r1 - r0)
             * static_cast<std::uint64_t>(st.ki) * elem;
     };
-    auto emit_pack_b = [&](const BlockStep& st, index_t s0, index_t s1,
-                           int worker) {
+    auto emit_pack_b = [&](const BlockStep& st, index_t item) {
+        const auto [s0, s1] =
+            item_range(item, kPackBGroup, ceil_div(st.ni, nr));
         const index_t c0 = s0 * nr;
         const index_t c1 = std::min(st.ni, s1 * nr);
-        TileOp& op = b.add_op(OpKind::kPackB, st.step, st.coord, worker);
+        TileOp& op = b.add_op(OpKind::kPackB, st.step, st.coord, -1);
         op.spans.push_back(make_span(kBufUserB, 0, 0, Access::kRead, st.k0,
                                      st.k0 + st.ki, st.n0 + c0, st.n0 + c1));
         op.spans.push_back(make_span(
-            kBufPackB, st.b_slot, b_gen_of[static_cast<std::size_t>(st.step)],
+            kBufPackB, st.b_slot, st.b_gen,
             Access::kWrite, s0, s1, 0, 1, /*creates=*/true));
         op.dram_read_bytes = static_cast<std::uint64_t>(c1 - c0)
             * static_cast<std::uint64_t>(st.ki) * elem;
@@ -279,176 +225,70 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         op.dram_read_bytes = static_cast<std::uint64_t>(st.ki)
             * static_cast<std::uint64_t>(st.ni) * elem;
     };
-    // Zero a row range of the fresh local C surface; the first op of a
+    // One row group of the departing column recorded in `fl`'s flush_*
+    // fields, written back to user C.
+    auto emit_flush = [&](const BlockStep& fl, index_t item) {
+        const auto [r0, r1] = item_range(item, kRowGroup, fl.flush_mi);
+        const bool rmw = fl.flush_revisit || beta_nonzero;
+        const index_t um0 = fl.flush_coord.m * params.m_blk;
+        const index_t un0 = fl.flush_coord.n * params.n_blk;
+        TileOp& op = b.add_op(OpKind::kFlush, fl.step, fl.flush_coord, -1);
+        op.spans.push_back(make_span(
+            kBufAccC, 0, fl.flush_gen, Access::kRead, r0, r1, 0,
+            ceil_div(fl.flush_ni, nr), /*creates=*/false, /*closes=*/true));
+        op.spans.push_back(make_span(
+            kBufUserC, 0, 0, rmw ? Access::kReadWrite : Access::kWrite,
+            um0 + r0, um0 + r1, un0, un0 + fl.flush_ni));
+        const auto bytes = static_cast<std::uint64_t>(r1 - r0)
+            * static_cast<std::uint64_t>(fl.flush_ni) * elem;
+        op.dram_write_bytes = bytes;
+        if (rmw) op.dram_read_bytes = bytes;
+    };
+    // One row group of the fresh local C surface; the first op of a
     // reloaded column carries the spilled-partial refetch bytes.
-    auto emit_zero = [&](const BlockStep& st, index_t r0, index_t r1,
-                         int worker, bool first) {
-        TileOp& op = b.add_op(OpKind::kZeroC, st.step, st.coord, worker);
+    auto emit_zero = [&](const BlockStep& st, index_t item) {
+        const auto [r0, r1] = item_range(item, kRowGroup, st.mi);
+        TileOp& op = b.add_op(OpKind::kZeroC, st.step, st.coord, -1);
         op.spans.push_back(make_span(kBufAccC, 0, st.c_gen, Access::kWrite,
                                      r0, r1, 0, ceil_div(st.ni, nr),
                                      /*creates=*/true));
-        if (first && st.reload) {
+        if (item == 0 && st.reload) {
             op.dram_read_bytes = static_cast<std::uint64_t>(st.mi)
                 * static_cast<std::uint64_t>(st.ni) * elem;
         }
     };
-    // One compute row band [r0, r1): reads the packed surfaces, RMWs the
-    // local accumulator.
-    auto emit_compute = [&](const BlockStep& st, index_t r0, index_t r1,
-                            int worker) {
-        TileOp& op = b.add_op(OpKind::kCompute, st.step, st.coord, worker);
+    // One mr compute band: reads the packed surfaces, RMWs the local
+    // accumulator.
+    auto emit_compute = [&](const BlockStep& st, index_t band) {
+        const index_t r0 = band * mr;
+        const index_t r1 = std::min(st.mi, r0 + mr);
+        TileOp& op = b.add_op(OpKind::kCompute, st.step, st.coord, -1);
         op.spans.push_back(make_span(
-            kBufPackA, st.a_slot, a_gen_of[static_cast<std::size_t>(st.step)],
-            Access::kRead, r0 / mr, ceil_div(r1, mr), 0, 1));
+            kBufPackA, st.a_slot, st.a_gen,
+            Access::kRead, band, band + 1, 0, 1));
         if (!use_prepacked) {
             op.spans.push_back(make_span(
-                kBufPackB, st.b_slot,
-                b_gen_of[static_cast<std::size_t>(st.step)], Access::kRead,
-                0, ceil_div(st.ni, nr), 0, 1));
+                kBufPackB, st.b_slot, st.b_gen, Access::kRead, 0,
+                ceil_div(st.ni, nr), 0, 1));
         }
         op.spans.push_back(make_span(kBufAccC, 0, st.c_gen,
                                      Access::kReadWrite, r0, r1, 0,
                                      ceil_div(st.ni, nr)));
     };
 
-    if (!pipelined) {
-        // ---- serial executor: one fork-join pool dispatch per phase,
-        // pack -> (flush, zero) -> compute in strict sequence per step.
-        for (const BlockStep& st : plan.steps) {
-            if (st.pack_a) {
-                b.next_phase("join");
-                for (const Chunk& c :
-                     parallel_chunks(ceil_div(st.mi, mr), p)) {
-                    emit_pack_a(st, c.lo, c.hi, c.tid);
-                }
-            }
-            if (use_prepacked && st.b_fresh) {
-                b.next_phase("join");
-                emit_stream_b(st);
-            } else if (st.pack_b) {
-                b.next_phase("join");
-                for (const Chunk& c :
-                     parallel_chunks(ceil_div(st.ni, nr), p)) {
-                    emit_pack_b(st, c.lo, c.hi, c.tid);
-                }
-            }
-            if (st.c_change) {
-                if (st.step > 0) {
-                    b.next_phase("join");
-                    emit_flush_ops(b, st, nr, params.m_blk, params.n_blk,
-                                   beta_nonzero, elem, /*pipelined=*/false,
-                                   p);
-                }
-                b.next_phase("join");
-                bool first = true;
-                for (const Chunk& c : parallel_chunks(st.mi, p)) {
-                    emit_zero(st, c.lo, c.hi, c.tid, first);
-                    first = false;
-                }
-            }
-            b.next_phase("join");
-            const index_t band = round_up(ceil_div(st.mi, p), mr);
-            for (int tid = 0; tid < p; ++tid) {
-                const index_t r0 = std::min<index_t>(tid * band, st.mi);
-                const index_t r1 =
-                    std::min<index_t>((tid + 1) * band, st.mi);
-                if (r0 < r1) emit_compute(st, r0, r1, tid);
-            }
+    for (const PlanPhase& ph : lowered.phases) {
+        b.next_phase(ph.label);
+        const BlockStep& st = plan_step(plan, ph.step);
+        for (index_t i = 0; i < ph.pack_a; ++i) {
+            emit_pack_a(plan_step(plan, ph.pack_step), i);
         }
-        b.next_phase("join");
-        emit_flush_ops(b, plan.final_flush, nr, params.m_blk, params.n_blk,
-                       beta_nonzero, elem, /*pipelined=*/false, p);
-        return std::move(b.ir);
-    }
-
-    // ---- pipelined executor: persistent team, dynamically claimed work
-    // items (worker = -1), spin-barrier phase boundaries. Mirrors
-    // run_pipelined's phase structure exactly: pipeline fill, per-step
-    // [flush, zero] column turnovers, main phases packing step t+1 while
-    // computing step t, and the final drain flush.
-    {
-        // Pipeline fill: pack block 0's surfaces + zero the first column.
-        b.next_phase("fill");
-        const BlockStep& s0 = plan.steps[0];
-        if (s0.pack_a) {
-            const index_t na = ceil_div(ceil_div(s0.mi, mr), kPackAGroup);
-            for (index_t i = 0; i < na; ++i) {
-                emit_pack_a(s0, i * kPackAGroup,
-                            std::min(ceil_div(s0.mi, mr),
-                                     (i + 1) * kPackAGroup),
-                            -1);
-            }
+        for (index_t i = 0; i < ph.pack_b; ++i) {
+            emit_pack_b(plan_step(plan, ph.pack_step), i);
         }
-        if (s0.pack_b) {
-            const index_t nbv = ceil_div(ceil_div(s0.ni, nr), kPackBGroup);
-            for (index_t i = 0; i < nbv; ++i) {
-                emit_pack_b(s0, i * kPackBGroup,
-                            std::min(ceil_div(s0.ni, nr),
-                                     (i + 1) * kPackBGroup),
-                            -1);
-            }
-        }
-        {
-            const index_t nzero = ceil_div(s0.mi, kRowGroup);
-            for (index_t i = 0; i < nzero; ++i) {
-                emit_zero(s0, i * kRowGroup,
-                          std::min(s0.mi, (i + 1) * kRowGroup), -1, i == 0);
-            }
-        }
-
-        for (index_t t = 0; t < steps; ++t) {
-            const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-            if (st.c_change && t > 0) {
-                b.next_phase("main->flush");
-                emit_flush_ops(b, st, nr, params.m_blk, params.n_blk,
-                               beta_nonzero, elem, /*pipelined=*/true, p);
-                b.next_phase("flush->zero");
-                const index_t nzero = ceil_div(st.mi, kRowGroup);
-                for (index_t i = 0; i < nzero; ++i) {
-                    emit_zero(st, i * kRowGroup,
-                              std::min(st.mi, (i + 1) * kRowGroup), -1,
-                              i == 0);
-                }
-                b.next_phase("zero->main");
-            } else {
-                b.next_phase(t == 0 ? "fill->main" : "main->main");
-            }
-            // Main phase: pack step t+1's fresh surfaces while computing
-            // step t (pack items first, as in the executor).
-            const BlockStep* next = t + 1 < steps
-                ? &plan.steps[static_cast<std::size_t>(t + 1)]
-                : nullptr;
-            if (next != nullptr && next->pack_a) {
-                const index_t na =
-                    ceil_div(ceil_div(next->mi, mr), kPackAGroup);
-                for (index_t i = 0; i < na; ++i) {
-                    emit_pack_a(*next, i * kPackAGroup,
-                                std::min(ceil_div(next->mi, mr),
-                                         (i + 1) * kPackAGroup),
-                                -1);
-                }
-            }
-            if (next != nullptr && next->pack_b) {
-                const index_t nbv =
-                    ceil_div(ceil_div(next->ni, nr), kPackBGroup);
-                for (index_t i = 0; i < nbv; ++i) {
-                    emit_pack_b(*next, i * kPackBGroup,
-                                std::min(ceil_div(next->ni, nr),
-                                         (i + 1) * kPackBGroup),
-                                -1);
-                }
-            }
-            if (use_prepacked && st.b_fresh) emit_stream_b(st);
-            const index_t bands = ceil_div(st.mi, mr);
-            for (index_t band = 0; band < bands; ++band) {
-                const index_t r0 = band * mr;
-                emit_compute(st, r0, std::min(st.mi, r0 + mr), -1);
-            }
-        }
-
-        b.next_phase("main->drain");
-        emit_flush_ops(b, plan.final_flush, nr, params.m_blk, params.n_blk,
-                       beta_nonzero, elem, /*pipelined=*/true, p);
+        for (index_t i = 0; i < ph.flush; ++i) emit_flush(st, i);
+        for (index_t i = 0; i < ph.zero; ++i) emit_zero(st, i);
+        if (ph.compute > 0 && use_prepacked && st.b_fresh) emit_stream_b(st);
+        for (index_t i = 0; i < ph.compute; ++i) emit_compute(st, i);
     }
     return std::move(b.ir);
 }

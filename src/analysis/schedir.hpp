@@ -4,10 +4,11 @@
 // executing a single FMA.
 //
 // The extractors replay the exact decision data the runtime consumes:
-//   * CAKE (serial + pipelined): build_schedule + build_block_plan
-//     (src/core/block_plan.cpp), the same BlockPlan CakeGemmT's executors
-//     iterate, including double-buffer slot assignment and the work-item
-//     grouping constants (kPackAGroup/kPackBGroup/kRowGroup).
+//   * CAKE (lookahead 0 + 1): build_schedule + build_block_plan +
+//     lower_block_plan (src/core/block_plan.cpp), the same phase list the
+//     CB executor interprets for every element type, including
+//     double-buffer slot assignment and the work-item grouping constants
+//     (kPackAGroup/kPackBGroup/kRowGroup).
 //   * GOTO: build_goto_passes (src/gotoblas/goto_gemm.cpp), the same pass
 //     list GotoGemmT::multiply iterates.
 // A property proven of this IR is therefore a property of the schedule
@@ -31,7 +32,8 @@
 namespace cake {
 namespace schedir {
 
-/// Which executor's operation stream the IR describes.
+/// Which executor's operation stream the IR describes: the CB executor at
+/// lookahead 0 (CakeExec::kSerial) or 1 (kPipelined), or GOTO.
 enum class Exec { kSerial, kPipelined, kGoto };
 const char* exec_name(Exec exec);
 
@@ -65,7 +67,7 @@ struct TileSpan {
 
 /// What the operation does; one op is one runtime work item (a pack
 /// sliver group, an mr compute band, a flush/zero row group) or one
-/// statically assigned worker chunk.
+/// statically assigned worker chunk (GOTO).
 enum class OpKind { kPackA, kPackB, kStreamB, kZeroC, kCompute, kFlush };
 const char* op_kind_name(OpKind kind);
 
@@ -108,10 +110,10 @@ struct ScheduleIR {
     std::vector<BlockCoord> order;  ///< CAKE block order (empty for GOTO)
 };
 
-/// Extract the IR of a CAKE multiply: the serial executor's
-/// fork-join-per-phase stream, or the pipelined executor's persistent-team
-/// stream (pipeline fill, flush/zero column turnovers, pack(t+1)+compute(t)
-/// main phases, final drain) with double-buffered pack slots.
+/// Extract the IR of a CAKE multiply: one op per work item of the lowered
+/// phase list (lower_block_plan), every op dynamically claimed. kPipelined
+/// is lookahead 1 (pack(t+1)+compute(t) main phases, double-buffered pack
+/// slots); kSerial is lookahead 0 (packing in its own phases, one slot).
 ScheduleIR extract_cake_ir(const GemmShape& shape,
                            const CbBlockParams& params, ScheduleKind kind,
                            Exec exec, bool use_prepacked = false,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "pack/pack.hpp"
 
 namespace cake {
 
@@ -15,6 +16,8 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
 
     const CbBlockParams& params = in.params;
     const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
+    const auto operand = static_cast<std::uint64_t>(
+        in.operand_bytes > 0 ? in.operand_bytes : params.elem_bytes);
     const auto steps = static_cast<index_t>(order.size());
 
     BlockPlan plan;
@@ -63,6 +66,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
 
     index_t cur_mi = 0, cur_ni = 0;
     index_t gen = -1;  // current local-C lifetime ordinal
+    index_t a_gen = -1, b_gen = -1;  // packed-A / packed-B fetch ordinals
     for (index_t t = 0; t < steps; ++t) {
         BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
         st.coord = order[static_cast<std::size_t>(t)];
@@ -88,7 +92,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
         if (st.pack_a) {
             ++stats.a_packs;
             stats.dram_read_bytes +=
-                static_cast<std::uint64_t>(st.mi) * st.ki * elem;
+                static_cast<std::uint64_t>(st.mi) * st.ki * operand;
         }
 
         st.b_slot = prev != nullptr ? prev->b_slot : 0;
@@ -99,7 +103,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             st.pack_b = false;
             if (st.b_fresh) {
                 stats.dram_read_bytes +=
-                    static_cast<std::uint64_t>(st.ki) * st.ni * elem;
+                    static_cast<std::uint64_t>(st.ki) * st.ni * operand;
             }
         } else {
             st.pack_b = st.b_fresh;
@@ -109,7 +113,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             if (st.pack_b) {
                 ++stats.b_packs;
                 stats.dram_read_bytes +=
-                    static_cast<std::uint64_t>(st.ki) * st.ni * elem;
+                    static_cast<std::uint64_t>(st.ki) * st.ni * operand;
             }
         }
 
@@ -132,6 +136,10 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             cur_ni = st.ni;
         }
         st.c_gen = gen;
+        if (st.pack_a) ++a_gen;
+        if (st.pack_b) ++b_gen;
+        st.a_gen = std::max<index_t>(a_gen, 0);
+        st.b_gen = std::max<index_t>(b_gen, 0);
         ++k_done[static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n)];
         ++stats.blocks_executed;
     }
@@ -146,6 +154,86 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     note_flush(plan.final_flush, last.coord, cur_mi, cur_ni, gen);
     plan.c_generations = gen + 1;
     return plan;
+}
+
+const BlockStep& plan_step(const BlockPlan& plan, index_t idx)
+{
+    const auto steps = static_cast<index_t>(plan.steps.size());
+    CAKE_CHECK(idx >= 0 && idx <= steps);
+    return idx == steps ? plan.final_flush
+                        : plan.steps[static_cast<std::size_t>(idx)];
+}
+
+std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
+                                        index_t nr, int lookahead)
+{
+    CAKE_CHECK(lookahead == 0 || lookahead == 1);
+    CAKE_CHECK(mr >= 1 && nr >= 1 && !plan.steps.empty());
+    const auto steps = static_cast<index_t>(plan.steps.size());
+
+    std::vector<PlanPhase> phases;
+    auto open = [&](const char* label, index_t step) {
+        PlanPhase ph;
+        ph.label = label;
+        ph.step = step;
+        phases.push_back(ph);
+        return &phases.back();
+    };
+    auto add_packs = [&](PlanPhase& ph, index_t t) {
+        const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
+        ph.pack_step = t;
+        ph.pack_a = st.pack_a ? ceil_div(ceil_div(st.mi, mr), kPackAGroup) : 0;
+        ph.pack_b = st.pack_b ? ceil_div(ceil_div(st.ni, nr), kPackBGroup) : 0;
+    };
+
+    for (index_t t = 0; t < steps; ++t) {
+        const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
+        const char* into_main = "main->main";
+        if (t == 0) {
+            // Pipeline fill: pack block 0 and zero the first local C.
+            PlanPhase* fill = open("fill", t);
+            fill->zero = ceil_div(st.mi, kRowGroup);
+            add_packs(*fill, t);
+            into_main = "fill->main";
+        } else if (st.c_change) {
+            // Column turnover: write the departing surface back, then
+            // reset the local surface. Two phases — the flush must read
+            // the buffer before the zero scrubs it.
+            open("main->flush", t)->flush = ceil_div(st.flush_mi, kRowGroup);
+            PlanPhase* zero = open("flush->zero", t);
+            zero->zero = ceil_div(st.mi, kRowGroup);
+            if (lookahead == 0) add_packs(*zero, t);
+            into_main = "zero->main";
+        } else if (lookahead == 0 && (st.pack_a || st.pack_b)) {
+            add_packs(*open("main->pack", t), t);
+            into_main = "pack->main";
+        }
+        // Main phase. At lookahead 1 it also packs step t+1's fresh
+        // surfaces into the other buffer halves; pack items come first so
+        // the next block's DRAM fetch spreads over this block's compute
+        // (the constant-bandwidth property, §3).
+        PlanPhase* main = open(into_main, t);
+        main->compute = ceil_div(st.mi, mr);
+        if (lookahead == 1 && t + 1 < steps) add_packs(*main, t + 1);
+    }
+    open("main->drain", steps)->flush =
+        ceil_div(plan.final_flush.flush_mi, kRowGroup);
+    return phases;
+}
+
+LoweredPlan lower_multiply(BlockPlanInputs in, ScheduleKind kind,
+                           int lookahead)
+{
+    const CbBlockParams& params = in.params;
+    in.nb = ceil_div(in.n, params.n_blk);
+    in.kb = ceil_div(in.k, params.k_blk);
+    in.double_buffer = lookahead == 1;
+    LoweredPlan out;
+    out.order = build_schedule(kind, ceil_div(in.m, params.m_blk), in.nb,
+                               in.kb, /*n_outermost=*/in.n >= in.m);
+    out.plan = build_block_plan(out.order, in);
+    out.phases = lower_block_plan(out.plan, params.mr, params.nr, lookahead);
+    return out;
 }
 
 }  // namespace cake

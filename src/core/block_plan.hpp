@@ -3,16 +3,18 @@
 // turns over and what it writes back) derived once, up front, as a pure
 // function of the block schedule and the tiling parameters.
 //
-// Both executors in src/core/cake_gemm.cpp consume this plan — the serial
-// path with double-buffering disabled (every slot stays 0), the pipelined
-// path with slots alternating on each fresh fetch — and the schedule-IR
-// extractor in src/analysis/schedir.cpp replays the *same* plan to emit
-// the tile operations it verifies. That sharing is the point: the verifier
+// lower_block_plan then turns the plan into the barrier-delimited phase
+// list that is the only description of the block loop: the CB executor
+// (src/core/cb_executor.cpp) interprets it for every element type, and the
+// schedule-IR extractor (src/analysis/schedir.cpp) emits its verified tile
+// operations from the *same* list. That sharing is the point: the verifier
 // proves properties of the data structure the runtime actually executes,
 // not of a parallel reimplementation that could drift.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -21,14 +23,22 @@
 
 namespace cake {
 
-// Work-item granularity shared by the pipelined executor and the IR
-// extractor. Compute items stay one mr band each — the load-balancing unit
+// Work-item granularity of the lowered phases (executor and IR
+// extractor). Compute items stay one mr band each — the load-balancing unit
 // that keeps every core busy on edge blocks. IO items (pack slivers,
 // flush/zero rows) are grouped coarser: they are short memcpy-like bodies,
 // and per-item counter and clock overhead would otherwise be measurable.
 inline constexpr index_t kPackAGroup = 4;  ///< mr slivers per pack-A item
 inline constexpr index_t kPackBGroup = 8;  ///< nr slivers per pack-B item
 inline constexpr index_t kRowGroup = 16;   ///< C rows per flush/zero item
+
+/// Half-open range [first, second) covered by work item `item` when items
+/// group `group` units out of `total`.
+inline std::pair<index_t, index_t> item_range(index_t item, index_t group,
+                                              index_t total)
+{
+    return {item * group, std::min(total, (item + 1) * group)};
+}
 
 /// One schedule step's resolved execution decisions.
 struct BlockStep {
@@ -43,6 +53,7 @@ struct BlockStep {
     bool c_change = false;  ///< a new (m, n) column starts at this step
     bool reload = false;  ///< entering column was spilled before: refetch
     index_t c_gen = 0;  ///< ordinal of the local-C lifetime this step uses
+    index_t a_gen = 0, b_gen = 0;  ///< ordinal of the packed A / B it reads
     // Departing-column flush, executed at entry of this step (valid when
     // c_change && step > 0; also used for the final drain pseudo-step).
     BlockCoord flush_coord;     ///< grid column being written back
@@ -79,7 +90,8 @@ struct BlockPlan {
 /// Inputs `build_block_plan` needs beyond the schedule itself. Only shape
 /// and policy — no pointers, so the same plan describes a dry run.
 struct BlockPlanInputs {
-    CbBlockParams params;
+    CbBlockParams params;  ///< params.elem_bytes is the C (accumulator) width
+    index_t operand_bytes = 0;  ///< A/B element width; 0 = params.elem_bytes
     index_t m = 0, n = 0, k = 0;
     index_t ldc = 0;   ///< user-C leading dimension (flush destinations)
     index_t nb = 0;    ///< grid width, for (m, n) -> column-slot mapping
@@ -94,5 +106,56 @@ struct BlockPlanInputs {
 /// DRAM traffic accounting — is resolved here, in schedule order.
 BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                            const BlockPlanInputs& in);
+
+/// One barrier-delimited phase of the lowered block loop. Its work items
+/// are claimed off one counter in the order pack-A, pack-B, flush, zero,
+/// compute. Pack items serve plan step `pack_step`; flush, zero and
+/// compute items serve step `step` (index steps.size() names the
+/// final-flush pseudo-step). A flush item writes back the departing
+/// column recorded in that step's flush_* fields.
+struct PlanPhase {
+    const char* label = "";  ///< barrier boundary entering this phase
+    index_t pack_step = -1;
+    index_t step = 0;
+    index_t pack_a = 0, pack_b = 0;  ///< kPackAGroup / kPackBGroup items
+    index_t flush = 0, zero = 0;     ///< kRowGroup row items
+    index_t compute = 0;             ///< one mr band per item
+
+    [[nodiscard]] index_t items() const
+    {
+        return pack_a + pack_b + flush + zero + compute;
+    }
+};
+
+/// Lower `plan` into its phase list for register tile mr x nr.
+///   lookahead 1: fill [pack 0 | zero 0]; per step, at column turnovers
+///     [flush] then [zero]; then [pack t+1 | compute t]; final [drain].
+///   lookahead 0: the overlap-off baseline — step t's packing runs in its
+///     own phase (with the zero at turnovers) before [compute t], so no
+///     phase holds both pack and compute items.
+/// Boundary labels name the two phases they separate ("main->flush",
+/// "zero->main", ...); the IR mutations sever boundaries by label.
+/// `plan` must have been built with double_buffer == (lookahead == 1).
+std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
+                                        index_t nr, int lookahead);
+
+/// Plan step `idx`, or the final-flush pseudo-step when idx == steps.size().
+const BlockStep& plan_step(const BlockPlan& plan, index_t idx);
+
+/// The whole block loop of one multiply: the schedule order (§2.2: M runs
+/// outermost when M > N, so the larger B surface is reused before A), its
+/// plan and its lowered phases. The CB executor runs exactly this and the
+/// IR extractor emits its ops from exactly this.
+struct LoweredPlan {
+    std::vector<BlockCoord> order;
+    BlockPlan plan;
+    std::vector<PlanPhase> phases;
+};
+
+/// Schedule, plan and lower one multiply for register tile
+/// params.mr x params.nr. `in.nb`, `in.kb` and `in.double_buffer` are
+/// derived here from the grid and the lookahead.
+LoweredPlan lower_multiply(BlockPlanInputs in, ScheduleKind kind,
+                           int lookahead);
 
 }  // namespace cake

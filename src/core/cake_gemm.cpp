@@ -1,112 +1,22 @@
 #include "core/cake_gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstring>
 
-#include "analysis/racecheck.hpp"
-#include "analysis/schedshake.hpp"
-#include "common/checked.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "core/block_plan.hpp"
-#include "obs/metrics.hpp"
-#include "obs/perf.hpp"
-#include "obs/trace.hpp"
-#include "pack/pack.hpp"
 
 namespace cake {
 
-namespace {
-
-/// Per-tile micro-kernel latency histogram (src/obs). The id is resolved
-/// once; calls are dead code in CAKE_TRACE_DISABLED builds because
-/// metrics_enabled() is constexpr false at every use site.
-obs::MetricId tile_latency_hist()
+TilingOptions tiling_options(const CakeOptions& options, index_t elem_bytes)
 {
-    static const obs::MetricId id =
-        obs::histogram("cake.kernel.tile_ns", obs::latency_bounds_ns());
-    return id;
+    TilingOptions topts;
+    topts.mc = options.mc;
+    topts.kc = options.kc;
+    topts.nc = options.nc;
+    topts.alpha = options.alpha;
+    topts.elem_bytes = elem_bytes;
+    return topts;
 }
-
-/// Publish one multiply's CakeStats into the obs metrics registry, so a
-/// snapshot at the end of a bench/tool run carries the same phase
-/// decomposition the per-call struct reports.
-void publish_cake_stats(const CakeStats& s)
-{
-    if (!obs::metrics_enabled()) return;
-    static const obs::MetricId multiplies =
-        obs::counter("cake.gemm.multiplies");
-    static const obs::MetricId blocks = obs::counter("cake.gemm.blocks");
-    static const obs::MetricId a_packs = obs::counter("cake.gemm.a_packs");
-    static const obs::MetricId b_packs = obs::counter("cake.gemm.b_packs");
-    static const obs::MetricId c_flushes =
-        obs::counter("cake.gemm.c_flushes");
-    static const obs::MetricId dram_rd =
-        obs::counter("cake.gemm.dram_read_bytes");
-    static const obs::MetricId dram_wr =
-        obs::counter("cake.gemm.dram_write_bytes");
-    static const obs::MetricId pack_s = obs::gauge("cake.gemm.pack_s");
-    static const obs::MetricId compute_s =
-        obs::gauge("cake.gemm.compute_s");
-    static const obs::MetricId flush_s = obs::gauge("cake.gemm.flush_s");
-    static const obs::MetricId stall_s = obs::gauge("cake.gemm.stall_s");
-    static const obs::MetricId total_s = obs::gauge("cake.gemm.total_s");
-    static const obs::MetricId overlap =
-        obs::gauge("cake.gemm.overlap_efficiency");
-    obs::counter_add(multiplies, 1);
-    obs::counter_add(blocks,
-                     static_cast<std::uint64_t>(s.blocks_executed));
-    obs::counter_add(a_packs, static_cast<std::uint64_t>(s.a_packs));
-    obs::counter_add(b_packs, static_cast<std::uint64_t>(s.b_packs));
-    obs::counter_add(c_flushes, static_cast<std::uint64_t>(s.c_flushes));
-    obs::counter_add(dram_rd, s.dram_read_bytes);
-    obs::counter_add(dram_wr, s.dram_write_bytes);
-    obs::gauge_set(pack_s, s.pack_seconds);
-    obs::gauge_set(compute_s, s.compute_seconds);
-    obs::gauge_set(flush_s, s.flush_seconds);
-    obs::gauge_set(stall_s, s.stall_seconds);
-    obs::gauge_set(total_s, s.total_seconds);
-    obs::gauge_set(overlap, s.overlap_efficiency);
-}
-
-}  // namespace
-
-namespace detail {
-
-/// One multiply's resolved arguments, shared by both executors.
-template <typename T>
-struct GemmCall {
-    const T* a = nullptr;
-    index_t lda = 0;
-    const T* b = nullptr;
-    index_t ldb = 0;
-    T* c = nullptr;
-    index_t ldc = 0;
-    index_t m = 0, n = 0, k = 0;
-    T alpha = T(1), beta = T(0);
-    const PackedB<T>* prepacked = nullptr;
-    bool ta = false, tb = false;
-    CbBlockParams params;
-    index_t mb = 0, nb = 0, kb = 0;
-    std::vector<BlockCoord> order;
-    const BlockPlan* plan = nullptr;  ///< resolved per-step decisions
-};
-
-/// CAKE_RACECHECK: retire a shadow-ownership region when the executor
-/// scope exits, including through an exception unwinding out of the team.
-/// Compiles away entirely in non-racecheck builds.
-struct ScopedRegion {
-    racecheck::RegionId id;
-
-    explicit ScopedRegion(racecheck::RegionId region) : id(region) {}
-    ScopedRegion(const ScopedRegion&) = delete;
-    ScopedRegion& operator=(const ScopedRegion&) = delete;
-    ~ScopedRegion() { racecheck::region_retire(id); }
-};
-
-}  // namespace detail
 
 template <typename T>
 CakeGemmT<T>::CakeGemmT(ThreadPool& pool, CakeOptions options)
@@ -144,48 +54,11 @@ PackedB<T> CakeGemmT<T>::pack_weights(const T* b, index_t ldb, index_t k,
     CAKE_CHECK(k >= 1 && n >= 1);
     const bool tb = options_.op_b == Op::kTranspose;
     CAKE_CHECK_MSG(ldb >= (tb ? k : n), "ldb too small for op(B)");
-
-    TilingOptions topts;
-    topts.mc = options_.mc;
-    topts.kc = options_.kc;
-    topts.nc = options_.nc;
-    topts.alpha = options_.alpha;
-    topts.elem_bytes = sizeof(T);
-    PackedB<T> packed;
-    packed.params_ =
-        compute_cb_block(machine_, options_.p, kernel_.mr, kernel_.nr, topts);
-    packed.k_ = k;
-    packed.n_ = n;
-    packed.kb_ = ceil_div(k, packed.params_.k_blk);
-    packed.nb_ = ceil_div(n, packed.params_.n_blk);
-    packed.stride_ = static_cast<std::size_t>(
-        packed_b_size(packed.params_.k_blk, packed.params_.n_blk, kernel_.nr));
-    packed.data_ = AlignedBuffer<T>(
-        static_cast<std::size_t>(packed.kb_ * packed.nb_) * packed.stride_);
-
-    const index_t total_panels = packed.kb_ * packed.nb_;
-    pool_.parallel_for(0, total_panels, options_.p,
-                       [&](index_t lo, index_t hi) {
-        for (index_t slot = lo; slot < hi; ++slot) {
-            const index_t k_idx = slot / packed.nb_;
-            const index_t n_idx = slot % packed.nb_;
-            const index_t k0 = k_idx * packed.params_.k_blk;
-            const index_t n0 = n_idx * packed.params_.n_blk;
-            const index_t ki = std::min(packed.params_.k_blk, k - k0);
-            const index_t ni = std::min(packed.params_.n_blk, n - n0);
-            T* dst = packed.data_.data()
-                + static_cast<std::size_t>(slot) * packed.stride_;
-            if (tb) {
-                pack_b_panel_transposed(b + n0 * ldb + k0, ldb, ki, ni,
-                                        kernel_.nr, dst);
-            } else {
-                pack_b_panel(b + k0 * ldb + n0, ldb, ki, ni, kernel_.nr,
-                             dst);
-            }
-        }
-    });
-    packed.verify_canaries();
-    return packed;
+    const CbBlockParams params =
+        compute_cb_block(machine_, options_.p, kernel_.mr, kernel_.nr,
+                         tiling_options(options_, sizeof(T)));
+    return CbExecutor<T>::pack_weights(pool_, params, kernel_.nr, b, ldb, k,
+                                       n, tb);
 }
 
 template <typename T>
@@ -228,12 +101,7 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     stats_ = CakeStats{};
 
     int p = options_.p;
-    TilingOptions topts;
-    topts.mc = options_.mc;
-    topts.kc = options_.kc;
-    topts.nc = options_.nc;
-    topts.alpha = options_.alpha;
-    topts.elem_bytes = sizeof(T);
+    TilingOptions topts = tiling_options(options_, sizeof(T));
     ScheduleKind schedule = options_.schedule;
     CakeExec exec = options_.exec;
 
@@ -297,710 +165,13 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
                        "PackedB geometry does not match this context");
     }
 
-    stats_.params = params;
-
-    detail::GemmCall<T> call;
-    call.a = a;
-    call.lda = lda;
-    call.b = b;
-    call.ldb = ldb;
-    call.c = c;
-    call.ldc = ldc;
-    call.m = m;
-    call.n = n;
-    call.k = k;
-    call.alpha = alpha_s;
-    call.beta = beta_s;
-    call.prepacked = prepacked;
-    call.ta = ta;
-    call.tb = tb;
-    call.params = params;
-    call.mb = ceil_div(m, params.m_blk);
-    call.nb = ceil_div(n, params.n_blk);
-    call.kb = ceil_div(k, params.k_blk);
-    stats_.grid_mb = call.mb;
-    stats_.grid_nb = call.nb;
-    stats_.grid_kb = call.kb;
-
-    // §2.2: when M > N the M dimension runs outermost so the larger B
-    // surface is reused before A.
-    const bool pipelined = exec != CakeExec::kSerial;
-    call.order = build_schedule(schedule, call.mb, call.nb, call.kb,
-                                /*n_outermost=*/n >= m);
-
-    // Resolve the whole block loop up front: surface sharing, pack-slot
-    // assignment, flush bookkeeping and the modelled DRAM traffic are pure
-    // functions of the schedule (src/core/block_plan.cpp). Both executors
-    // and the schedule-IR extractor consume this same plan.
-    BlockPlanInputs plan_in;
-    plan_in.params = params;
-    plan_in.m = m;
-    plan_in.n = n;
-    plan_in.k = k;
-    plan_in.ldc = ldc;
-    plan_in.nb = call.nb;
-    plan_in.kb = call.kb;
-    plan_in.use_prepacked = prepacked != nullptr;
-    plan_in.beta_nonzero = beta_s != T(0);
-    plan_in.double_buffer = pipelined;
-    const BlockPlan plan = build_block_plan(call.order, plan_in);
-    call.plan = &plan;
-    stats_.blocks_executed = plan.stats.blocks_executed;
-    stats_.a_packs = plan.stats.a_packs;
-    stats_.b_packs = plan.stats.b_packs;
-    stats_.c_flushes = plan.stats.c_flushes;
-    stats_.c_partial_spills = plan.stats.c_partial_spills;
-    stats_.dram_read_bytes = plan.stats.dram_read_bytes;
-    stats_.dram_write_bytes = plan.stats.dram_write_bytes;
-
-    pack_a_[0].ensure(static_cast<std::size_t>(
-        packed_a_size(params.m_blk, params.k_blk, kernel_.mr)));
-    if (pipelined) pack_a_[1].ensure(pack_a_[0].size());
-    if (prepacked == nullptr) {
-        pack_b_[0].ensure(static_cast<std::size_t>(
-            packed_b_size(params.k_blk, params.n_blk, kernel_.nr)));
-        if (pipelined) pack_b_[1].ensure(pack_b_[0].size());
-    }
-    c_block_.ensure(static_cast<std::size_t>(params.m_blk)
-                    * static_cast<std::size_t>(params.n_blk));
-    if (scratch_.size() < static_cast<std::size_t>(p)) {
-        scratch_.resize(static_cast<std::size_t>(p));
-    }
-    for (auto& s : scratch_) {
-        s.ensure(static_cast<std::size_t>(kernel_.mr * kernel_.nr));
-    }
-
-    if (pipelined) {
-        run_pipelined(call);
-    } else {
-        run_serial(call);
-    }
-
-    // CAKE_CHECKED: the multiply is flushed — every packed surface's
-    // front/back canaries must still be intact, or some strided write ran
-    // outside its panel. No-ops in release builds.
-    pack_a_[0].verify_canaries("packed-A buffer[0]");
-    pack_a_[1].verify_canaries("packed-A buffer[1]");
-    pack_b_[0].verify_canaries("packed-B buffer[0]");
-    pack_b_[1].verify_canaries("packed-B buffer[1]");
-    c_block_.verify_canaries("local C surface");
-    for (const auto& s : scratch_) s.verify_canaries("kernel scratch tile");
-    if (prepacked != nullptr) prepacked->verify_canaries();
-
-    stats_.total_seconds = total_timer.seconds();
-    if (!stats_.pipelined) {
-        stats_.stall_seconds =
-            std::max(0.0, stats_.total_seconds - stats_.pack_seconds
-                              - stats_.compute_seconds
-                              - stats_.flush_seconds);
-    }
-    publish_cake_stats(stats_);
-}
-
-// ---------------------------------------------------------------------------
-// Serial executor: one pool dispatch per phase, pack -> compute -> flush in
-// strict sequence per block (the overlap-off baseline).
-// ---------------------------------------------------------------------------
-template <typename T>
-void CakeGemmT<T>::run_serial(const detail::GemmCall<T>& call)
-{
-    const CbBlockParams& params = call.params;
-    const int p = params.p;
-    const index_t m = call.m, n = call.n;
-    const T alpha_s = call.alpha, beta_s = call.beta;
-    const T* a = call.a;
-    const T* b = call.b;
-    T* c = call.c;
-    const index_t lda = call.lda, ldb = call.ldb, ldc = call.ldc;
-    const bool ta = call.ta, tb = call.tb;
-    const PackedB<T>* prepacked = call.prepacked;
-    const BlockPlan& plan = *call.plan;
-
-    // CAKE_RACECHECK shadow regions: the packed panels at mr/nr-sliver
-    // granularity and the local C surface at row x nr-sliver granularity
-    // (flush/zero row chunks are not mr-aligned, so full mr x nr C tiles
-    // would alias across legitimate chunk boundaries). No-ops in other
-    // builds.
-    const index_t c_cols = ceil_div(params.n_blk, kernel_.nr);
-    detail::ScopedRegion rc_pa(racecheck::region_register(
-        "packed-A panel", ceil_div(params.m_blk, kernel_.mr)));
-    detail::ScopedRegion rc_pb(racecheck::region_register(
-        "packed-B panel", ceil_div(params.n_blk, kernel_.nr)));
-    detail::ScopedRegion rc_c(racecheck::region_register(
-        "local C surface", params.m_blk * c_cols, c_cols));
-
-    // Flush the departing column recorded in `fl`'s flush_* fields (a plan
-    // step opening a new column, or the final-drain pseudo-step).
-    auto flush_c = [&](const BlockStep& fl) {
-        // First visit applies the caller's beta; revisits (spilled partial
-        // surfaces under ablation schedules) must accumulate.
-        const T beta_eff = fl.flush_revisit ? T(1) : beta_s;
-        const index_t mi = fl.flush_mi, ni = fl.flush_ni;
-        const BlockCoord& coord = fl.flush_coord;
-        require_extent(fl.flush_dst, (mi - 1) * ldc + ni,
-                       static_cast<std::size_t>((m - 1) * ldc + n),
-                       "user C surface flush");
-        T* dst = c + fl.flush_dst;
-        pool_.parallel_for(0, mi, p, [&](index_t r0, index_t r1) {
-            obs::ScopedSpan span("flush.write", obs::Phase::kFlush, coord.m,
-                                 coord.n, coord.k, r0);
-            obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kFlush);
-            racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(ni, kernel_.nr),
-                racecheck::AccessKind::kRead,
-                {fl.step, coord.m, coord.n, coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * ni, (r1 - r0) * ni, c_block_.size(),
-                           "local C flush rows");
-            unpack_c_block_scaled(c_block_.data() + r0 * ni, r1 - r0, ni,
-                                  dst + r0 * ldc, ldc, alpha_s, beta_eff);
-        });
-    };
-
-    for (const BlockStep& st : plan.steps) {
-        const BlockCoord coord = st.coord;
-        const index_t mi = st.mi, ni = st.ni, ki = st.ki;
-        const index_t m0 = st.m0, n0 = st.n0, k0 = st.k0;
-        const index_t step_idx = st.step;
-
-        // --- surface sharing: only fetch (pack) surfaces that changed ---
-        Timer pack_timer;
-        if (st.pack_a) {
-            pool_.parallel_for(0, ceil_div(mi, kernel_.mr), p,
-                               [&](index_t s0, index_t s1) {
-                obs::ScopedSpan span("pack.A", obs::Phase::kPack, coord.m,
-                                     coord.n, coord.k, s0);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kPack);
-                racecheck::region_access_range(
-                    rc_pa.id, s0, s1, racecheck::AccessKind::kWrite,
-                    {step_idx, coord.m, coord.n, coord.k,
-                     racecheck::Phase::kPack});
-                const index_t r0 = s0 * kernel_.mr;
-                const index_t r1 = std::min(mi, s1 * kernel_.mr);
-                if (ta) {
-                    pack_a_panel_transposed(a + k0 * lda + (m0 + r0), lda,
-                                            r1 - r0, ki, kernel_.mr,
-                                            pack_a_[0].data() + r0 * ki);
-                } else {
-                    pack_a_panel(a + (m0 + r0) * lda + k0, lda, r1 - r0, ki,
-                                 kernel_.mr, pack_a_[0].data() + r0 * ki);
-                }
-            });
-        }
-        const T* pb_block = pack_b_[0].data();
-        if (prepacked != nullptr) {
-            // Weights are already in panel format: no pack work; the
-            // stream into local memory is accounted in the plan.
-            pb_block = prepacked->panel(coord.k, coord.n);
-        } else if (st.pack_b) {
-            pool_.parallel_for(0, ceil_div(ni, kernel_.nr), p,
-                               [&](index_t s0, index_t s1) {
-                obs::ScopedSpan span("pack.B", obs::Phase::kPack, coord.m,
-                                     coord.n, coord.k, s0);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kPack);
-                racecheck::region_access_range(
-                    rc_pb.id, s0, s1, racecheck::AccessKind::kWrite,
-                    {step_idx, coord.m, coord.n, coord.k,
-                     racecheck::Phase::kPack});
-                const index_t c0 = s0 * kernel_.nr;
-                const index_t c1 = std::min(ni, s1 * kernel_.nr);
-                if (tb) {
-                    pack_b_panel_transposed(b + (n0 + c0) * ldb + k0, ldb, ki,
-                                            c1 - c0, kernel_.nr,
-                                            pack_b_[0].data() + c0 * ki);
-                } else {
-                    pack_b_panel(b + k0 * ldb + (n0 + c0), ldb, ki, c1 - c0,
-                                 kernel_.nr, pack_b_[0].data() + c0 * ki);
-                }
-            });
-        }
-        stats_.pack_seconds += pack_timer.seconds();
-
-        if (st.c_change) {
-            Timer flush_timer;
-            if (st.step > 0) flush_c(st);
-            // Fresh local C surface for the new (m, n) column.
-            pool_.parallel_for(0, mi, p, [&](index_t r0, index_t r1) {
-                obs::ScopedSpan span("flush.zero", obs::Phase::kFlush,
-                                     coord.m, coord.n, coord.k, r0);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kFlush);
-                racecheck::region_access_block(
-                    rc_c.id, r0, r1, 0, ceil_div(ni, kernel_.nr),
-                    racecheck::AccessKind::kWrite,
-                    {step_idx, coord.m, coord.n, coord.k,
-                     racecheck::Phase::kFlush});
-                std::memset(c_block_.data() + r0 * ni, 0,
-                            static_cast<std::size_t>((r1 - r0) * ni)
-                                * sizeof(T));
-            });
-            stats_.flush_seconds += flush_timer.seconds();
-        }
-
-        // --- block computation: p workers, one row band each. Full blocks
-        // give each core its mc-row band (one A sub-block per core,
-        // Fig. 6b); edge blocks split their rows evenly so no core idles
-        // (band == mc whenever mi == p*mc). ---
-        Timer compute_timer;
-        const MicroKernelT<T> kernel = kernel_;
-        // Span the packed panels and the local C surface: in CAKE_CHECKED
-        // builds every sliver slice below is validated against the panel
-        // capacity; in release builds these are the raw pointers.
-        const T* pb_raw = pb_block;
-        const std::size_t pb_cap = prepacked != nullptr
-            ? prepacked->panel_stride()
-            : pack_b_[0].size();
-        Span<const T> pa =
-            make_span(static_cast<const T*>(pack_a_[0].data()),
-                      pack_a_[0].size(), "packed-A panel");
-        Span<const T> pb = make_span(pb_raw, pb_cap, "packed-B panel");
-        Span<T> cb =
-            make_span(c_block_.data(), c_block_.size(), "local C surface");
-        const index_t band =
-            round_up(ceil_div(mi, static_cast<index_t>(p)), kernel_.mr);
-        const bool obs_tiles = obs::metrics_enabled();
-        pool_.run(p, [&, kernel, pa, pb, cb, mi, ni, ki, band](int tid) {
-            obs::ScopedSpan span("compute", obs::Phase::kCompute, coord.m,
-                                 coord.n, coord.k, tid);
-            obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kCompute);
-            const index_t r_begin = std::min<index_t>(tid * band, mi);
-            const index_t r_end = std::min<index_t>((tid + 1) * band, mi);
-            if (r_begin < r_end) {
-                const racecheck::AccessSite site{step_idx, coord.m, coord.n,
-                                                 coord.k,
-                                                 racecheck::Phase::kCompute};
-                racecheck::region_access_range(
-                    rc_pa.id, r_begin / kernel.mr,
-                    ceil_div(r_end, kernel.mr), racecheck::AccessKind::kRead,
-                    site);
-                if (prepacked == nullptr) {
-                    racecheck::region_access_range(
-                        rc_pb.id, 0, ceil_div(ni, kernel.nr),
-                        racecheck::AccessKind::kRead, site);
-                }
-                racecheck::region_access_block(
-                    rc_c.id, r_begin, r_end, 0, ceil_div(ni, kernel.nr),
-                    racecheck::AccessKind::kWrite, site);
-            }
-            T* scratch = scratch_[static_cast<std::size_t>(tid)].data();
-            for (index_t r = r_begin; r < r_end; r += kernel.mr) {
-                const index_t mrows = std::min(kernel.mr, r_end - r);
-                Span<const T> a_sliver = span_slice(
-                    pa, (r / kernel.mr) * kernel.mr * ki, kernel.mr * ki);
-                for (index_t j = 0; j < ni; j += kernel.nr) {
-                    const index_t ncols = std::min(kernel.nr, ni - j);
-                    Span<const T> b_sliver = span_slice(
-                        pb, (j / kernel.nr) * kernel.nr * ki,
-                        kernel.nr * ki);
-                    Span<T> c_tile = span_slice(
-                        cb, r * ni + j, (mrows - 1) * ni + ncols);
-                    const std::uint64_t tile_t0 =
-                        obs_tiles ? obs::now_ns() : 0;
-                    run_microkernel_tile(kernel, ki, span_data(a_sliver),
-                                         span_data(b_sliver),
-                                         span_data(c_tile), ni, mrows, ncols,
-                                         /*accumulate=*/true, scratch);
-                    if (obs_tiles) {
-                        obs::histogram_observe(
-                            tile_latency_hist(),
-                            static_cast<double>(obs::now_ns() - tile_t0));
-                    }
-                }
-            }
-        });
-        stats_.compute_seconds += compute_timer.seconds();
-    }
-    {
-        Timer flush_timer;
-        flush_c(plan.final_flush);
-        stats_.flush_seconds += flush_timer.seconds();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined executor: one persistent team for the whole block loop. While
-// the team computes block i it also packs the surfaces of block i+1 that
-// shared_surfaces() says are not carried over, into the other half of the
-// double-buffered panel storage — so after pipeline fill, packing IO runs
-// concurrently with compute instead of on the critical path (paper §2,
-// Fig. 7). Phases inside the team are separated by spin barriers; work
-// within a phase is claimed in mr/nr-sliver items off an atomic counter so
-// edge blocks never leave cores idle.
-// ---------------------------------------------------------------------------
-template <typename T>
-void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
-{
-    const CbBlockParams& params = call.params;
-    const int p = params.p;
-    const index_t mr = kernel_.mr;
-    const index_t nr = kernel_.nr;
-    const bool use_prepacked = call.prepacked != nullptr;
-
-    // ---- Step plan (src/core/block_plan.cpp). Buffer slots, pack needs
-    // and flush bookkeeping are pure functions of the schedule, resolved
-    // up front by build_block_plan; the team below only claims and
-    // executes work items.
-    const BlockPlan& plan = *call.plan;
-    const auto steps = static_cast<index_t>(plan.steps.size());
-    const BlockStep& final_flush = plan.final_flush;
-
-    // ---- Team execution.
-    const MicroKernelT<T> kernel = kernel_;
-    T* const cb = c_block_.data();
-    T* const pa_slots[2] = {pack_a_[0].data(), pack_a_[1].data()};
-    T* const pb_slots[2] = {pack_b_[0].data(), pack_b_[1].data()};
-    // Capacities for the CAKE_CHECKED extent checks in the work items
-    // below (both halves of each double buffer are allocated equal).
-    const std::size_t pa_cap = pack_a_[0].size();
-    const std::size_t pb_cap = use_prepacked
-        ? call.prepacked->panel_stride()
-        : pack_b_[0].size();
-    const std::size_t cb_cap = c_block_.size();
-    const std::size_t user_c_cap =
-        static_cast<std::size_t>((call.m - 1) * call.ldc + call.n);
-
-    // CAKE_RACECHECK shadow regions. Each double-buffer half is its own
-    // region, so the intended pack(i+1)/compute(i) overlap on *opposite*
-    // halves stays silent while any same-half access pair without a
-    // barrier edge between its phases traps. The local C surface is tiled
-    // at row x nr-sliver granularity because flush/zero row groups
-    // (kRowGroup) are not mr-aligned. All of this compiles to nothing in
-    // non-racecheck builds.
-    const index_t c_cols = ceil_div(params.n_blk, nr);
-    detail::ScopedRegion rc_pa0(racecheck::region_register(
-        "packed-A half 0", ceil_div(params.m_blk, mr)));
-    detail::ScopedRegion rc_pa1(racecheck::region_register(
-        "packed-A half 1", ceil_div(params.m_blk, mr)));
-    detail::ScopedRegion rc_pb0(racecheck::region_register(
-        "packed-B half 0", ceil_div(params.n_blk, nr)));
-    detail::ScopedRegion rc_pb1(racecheck::region_register(
-        "packed-B half 1", ceil_div(params.n_blk, nr)));
-    detail::ScopedRegion rc_c(racecheck::region_register(
-        "local C surface", params.m_blk * c_cols, c_cols));
-    const racecheck::RegionId rc_pa_ids[2] = {rc_pa0.id, rc_pa1.id};
-    const racecheck::RegionId rc_pb_ids[2] = {rc_pb0.id, rc_pb1.id};
-
-    // Work-item granularity: kPackAGroup / kPackBGroup / kRowGroup from
-    // core/block_plan.hpp, shared with the schedule-IR extractor so the
-    // verified operation stream is item-for-item the one dispatched here.
-
-    // Phase work counters, double-buffered by phase parity: while phase q
-    // drains counters[q & 1], worker 0 resets the other one (dead since
-    // the barrier that ended phase q-1) for phase q+1.
-    std::atomic<index_t> counters[2] = {};
-    std::vector<double> worker_pack(static_cast<std::size_t>(p), 0.0);
-    std::vector<double> worker_compute(static_cast<std::size_t>(p), 0.0);
-    std::vector<double> worker_flush(static_cast<std::size_t>(p), 0.0);
-    std::vector<double> worker_hidden(static_cast<std::size_t>(p), 0.0);
-
-    Timer team_timer;
-    pool_.run_team(p, [&](TeamContext& team, int tid) {
-        using Clock = std::chrono::steady_clock;
-        double pack_s = 0, compute_s = 0, flush_s = 0, hidden_s = 0;
-        long phase = 0;
-        T* const scratch = scratch_[static_cast<std::size_t>(tid)].data();
-
-        // Claim items off the phase counter until exhausted, then cross
-        // the phase barrier. Item errors are recorded (not thrown) so
-        // every worker keeps reaching the same barriers; once an error is
-        // recorded all remaining items drain as no-ops.
-        auto run_phase = [&](index_t n_items, auto&& body) {
-            std::atomic<index_t>& counter = counters[phase & 1];
-            for (;;) {
-                schedshake::interleave_point(
-                    schedshake::Point::kPhaseClaim);
-                const index_t item =
-                    counter.fetch_add(1, std::memory_order_relaxed);
-                if (item >= n_items) break;
-                if (team.has_error()) continue;
-                try {
-                    body(item);
-                } catch (...) {
-                    team.record_error(std::current_exception());
-                }
-            }
-            if (tid == 0) {
-                counters[(phase + 1) & 1].store(0,
-                                                std::memory_order_relaxed);
-            }
-            team.barrier();
-            ++phase;
-        };
-        // Each work item is timed ONCE with a shared Clock::now() pair that
-        // feeds both the phase stats and the emitted trace span, so the
-        // per-worker span totals and CakeStats phase seconds agree exactly
-        // (a second clock pair would skew short flush/zero items by its own
-        // cost). The obs push happens after the end reading — ring costs
-        // stay outside both measurements.
-        const bool tracing = obs::enabled();
-        auto timed_item = [&](const char* span_name, obs::Phase obs_phase,
-                              const BlockStep& st, index_t item, auto&& body) {
-            // Counter reads bracket the clock pair so the perf syscalls
-            // never contaminate the phase seconds or the span duration.
-            obs::perf::ScopedPhaseDelta perf_scope(obs_phase);
-            const auto t0 = Clock::now();
-            body();
-            const auto t1 = Clock::now();
-            if (tracing) {
-                obs::emit_span(span_name, obs_phase, obs::to_trace_ns(t0),
-                               obs::to_trace_ns(t1), st.coord.m, st.coord.n,
-                               st.coord.k, item);
-            }
-            return std::chrono::duration<double>(t1 - t0).count();
-        };
-
-        // One group of mr slivers of step st's A surface into its half.
-        auto pack_a_item = [&](const BlockStep& st, index_t item) {
-            schedshake::interleave_point(schedshake::Point::kPackItem);
-            const index_t s_end = std::min(ceil_div(st.mi, mr),
-                                           (item + 1) * kPackAGroup);
-            racecheck::region_access_range(
-                rc_pa_ids[st.a_slot], item * kPackAGroup, s_end,
-                racecheck::AccessKind::kWrite,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kPack});
-            for (index_t s = item * kPackAGroup; s < s_end; ++s) {
-                const index_t r0 = s * mr;
-                const index_t rows = std::min(mr, st.mi - r0);
-                require_extent(r0 * st.ki, mr * st.ki, pa_cap,
-                               "pipelined packed-A sliver");
-                T* dst = pa_slots[st.a_slot] + r0 * st.ki;
-                if (call.ta) {
-                    pack_a_panel_transposed(call.a + st.k0 * call.lda
-                                                + (st.m0 + r0),
-                                            call.lda, rows, st.ki, mr, dst);
-                } else {
-                    pack_a_panel(call.a + (st.m0 + r0) * call.lda + st.k0,
-                                 call.lda, rows, st.ki, mr, dst);
-                }
-            }
-        };
-        // One group of nr slivers of step st's B surface into its half.
-        auto pack_b_item = [&](const BlockStep& st, index_t item) {
-            schedshake::interleave_point(schedshake::Point::kPackItem);
-            const index_t s_end = std::min(ceil_div(st.ni, nr),
-                                           (item + 1) * kPackBGroup);
-            racecheck::region_access_range(
-                rc_pb_ids[st.b_slot], item * kPackBGroup, s_end,
-                racecheck::AccessKind::kWrite,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kPack});
-            for (index_t s = item * kPackBGroup; s < s_end; ++s) {
-                const index_t c0 = s * nr;
-                const index_t cols = std::min(nr, st.ni - c0);
-                require_extent(c0 * st.ki, nr * st.ki, pb_cap,
-                               "pipelined packed-B sliver");
-                T* dst = pb_slots[st.b_slot] + c0 * st.ki;
-                if (call.tb) {
-                    pack_b_panel_transposed(call.b + (st.n0 + c0) * call.ldb
-                                                + st.k0,
-                                            call.ldb, st.ki, cols, nr, dst);
-                } else {
-                    pack_b_panel(call.b + st.k0 * call.ldb + (st.n0 + c0),
-                                 call.ldb, st.ki, cols, nr, dst);
-                }
-            }
-        };
-        // One mr row band of step st's block computation.
-        auto compute_item = [&](const BlockStep& st, const T* pb, index_t band) {
-            const bool obs_tiles = obs::metrics_enabled();
-            schedshake::interleave_point(schedshake::Point::kComputeItem);
-            const index_t r = band * mr;
-            const index_t mrows = std::min(mr, st.mi - r);
-            {
-                const racecheck::AccessSite site{st.step, st.coord.m,
-                                                 st.coord.n, st.coord.k,
-                                                 racecheck::Phase::kCompute};
-                racecheck::region_access(rc_pa_ids[st.a_slot], band,
-                                         racecheck::AccessKind::kRead, site);
-                if (!use_prepacked) {
-                    racecheck::region_access_range(
-                        rc_pb_ids[st.b_slot], 0, ceil_div(st.ni, nr),
-                        racecheck::AccessKind::kRead, site);
-                }
-                racecheck::region_access_block(
-                    rc_c.id, r, r + mrows, 0, ceil_div(st.ni, nr),
-                    racecheck::AccessKind::kWrite, site);
-            }
-            require_extent(r * st.ki, mr * st.ki, pa_cap,
-                           "pipelined compute A sliver");
-            const T* a_sliver = pa_slots[st.a_slot] + r * st.ki;
-            for (index_t j = 0; j < st.ni; j += nr) {
-                const index_t ncols = std::min(nr, st.ni - j);
-                require_extent((j / nr) * nr * st.ki, nr * st.ki, pb_cap,
-                               "pipelined compute B sliver");
-                const T* b_sliver = pb + (j / nr) * nr * st.ki;
-                require_extent(r * st.ni + j, (mrows - 1) * st.ni + ncols,
-                               cb_cap, "pipelined compute C tile");
-                const std::uint64_t tile_t0 =
-                    obs_tiles ? obs::now_ns() : 0;
-                run_microkernel_tile(kernel, st.ki, a_sliver, b_sliver,
-                                     cb + r * st.ni + j, st.ni, mrows, ncols,
-                                     /*accumulate=*/true, scratch);
-                if (obs_tiles) {
-                    obs::histogram_observe(
-                        tile_latency_hist(),
-                        static_cast<double>(obs::now_ns() - tile_t0));
-                }
-            }
-        };
-        // One group of rows of a departing column's writeback to user C.
-        auto flush_item = [&](const BlockStep& st, index_t item) {
-            schedshake::interleave_point(schedshake::Point::kFlushItem);
-            const T beta_eff = st.flush_revisit ? T(1) : call.beta;
-            const index_t r0 = item * kRowGroup;
-            const index_t r1 = std::min(st.flush_mi, r0 + kRowGroup);
-            racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(st.flush_ni, nr),
-                racecheck::AccessKind::kRead,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * st.flush_ni, (r1 - r0) * st.flush_ni,
-                           cb_cap, "pipelined flush source rows");
-            require_extent(st.flush_dst + r0 * call.ldc,
-                           (r1 - r0 - 1) * call.ldc + st.flush_ni,
-                           user_c_cap, "pipelined flush into user C");
-            unpack_c_block_scaled(cb + r0 * st.flush_ni, r1 - r0,
-                                  st.flush_ni,
-                                  call.c + st.flush_dst + r0 * call.ldc,
-                                  call.ldc, call.alpha, beta_eff);
-        };
-        // One group of rows of the fresh local C surface zeroed for a new
-        // column.
-        auto zero_item = [&](const BlockStep& st, index_t item) {
-            schedshake::interleave_point(schedshake::Point::kFlushItem);
-            const index_t r0 = item * kRowGroup;
-            const index_t r1 = std::min(st.mi, r0 + kRowGroup);
-            racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(st.ni, nr),
-                racecheck::AccessKind::kWrite,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * st.ni, (r1 - r0) * st.ni, cb_cap,
-                           "pipelined zero rows");
-            std::memset(cb + r0 * st.ni, 0,
-                        static_cast<std::size_t>((r1 - r0) * st.ni)
-                            * sizeof(T));
-        };
-
-        auto pack_items_of = [&](const BlockStep* st) {
-            const index_t na = st != nullptr && st->pack_a
-                ? ceil_div(ceil_div(st->mi, mr), kPackAGroup)
-                : 0;
-            const index_t nbv = st != nullptr && st->pack_b
-                ? ceil_div(ceil_div(st->ni, nr), kPackBGroup)
-                : 0;
-            return std::pair<index_t, index_t>{na, nbv};
-        };
-        // `co_issued`: the item runs in a phase that also carries compute
-        // items, i.e. the pipeline kept this fetch off the critical path
-        // (it overlaps with compute whenever spare hardware threads exist).
-        auto do_pack_item = [&](const BlockStep& st, index_t na, index_t item,
-                                bool co_issued) {
-            const bool is_a = item < na;
-            const double d = timed_item(
-                is_a ? "pack.A" : "pack.B", obs::Phase::kPack, st,
-                is_a ? item : item - na, [&] {
-                    if (is_a) {
-                        pack_a_item(st, item);
-                    } else {
-                        pack_b_item(st, item - na);
-                    }
-                });
-            pack_s += d;
-            if (co_issued) hidden_s += d;
-        };
-
-        // Pipeline fill: pack block 0's surfaces and zero the first local
-        // C surface.
-        {
-            const BlockStep& s0 = plan.steps[0];
-            const auto [na, nbv] = pack_items_of(&s0);
-            const index_t nzero = ceil_div(s0.mi, kRowGroup);
-            run_phase(na + nbv + nzero, [&](index_t item) {
-                if (item < na + nbv) {
-                    do_pack_item(s0, na, item, /*co_issued=*/false);
-                } else {
-                    const index_t zi = item - na - nbv;
-                    flush_s += timed_item("flush.zero", obs::Phase::kFlush,
-                                          s0, zi, [&] { zero_item(s0, zi); });
-                }
-            });
-        }
-
-        for (index_t t = 0; t < steps; ++t) {
-            const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-            if (st.c_change && t > 0) {
-                // Column boundary: write the departing surface back, then
-                // reset the local surface for the new column. Two phases —
-                // the flush must read the buffer before the zero scrubs it.
-                run_phase(ceil_div(st.flush_mi, kRowGroup),
-                          [&](index_t item) {
-                    flush_s += timed_item("flush.write", obs::Phase::kFlush,
-                                          st, item,
-                                          [&] { flush_item(st, item); });
-                });
-                run_phase(ceil_div(st.mi, kRowGroup), [&](index_t item) {
-                    flush_s += timed_item("flush.zero", obs::Phase::kFlush,
-                                          st, item,
-                                          [&] { zero_item(st, item); });
-                });
-            }
-            // Main phase: compute block t while packing block t+1's
-            // non-shared surfaces into the other buffer halves. Pack items
-            // come first in the index space so the next block's DRAM fetch
-            // starts immediately and spreads over the block's compute time
-            // (the constant-bandwidth property, §3).
-            const BlockStep* next = t + 1 < steps
-                ? &plan.steps[static_cast<std::size_t>(t + 1)]
-                : nullptr;
-            const auto [na, nbv] = pack_items_of(next);
-            const index_t bands = ceil_div(st.mi, mr);
-            const T* pb = use_prepacked
-                ? call.prepacked->panel(st.coord.k, st.coord.n)
-                : pb_slots[st.b_slot];
-            run_phase(na + nbv + bands, [&](index_t item) {
-                if (item < na + nbv) {
-                    do_pack_item(*next, na, item, /*co_issued=*/true);
-                } else {
-                    const index_t band = item - na - nbv;
-                    compute_s +=
-                        timed_item("compute", obs::Phase::kCompute, st, band,
-                                   [&] { compute_item(st, pb, band); });
-                }
-            });
-        }
-
-        // Pipeline drain: flush the last live column.
-        run_phase(ceil_div(final_flush.flush_mi, kRowGroup),
-                  [&](index_t item) {
-            flush_s += timed_item("flush.write", obs::Phase::kFlush,
-                                  final_flush, item,
-                                  [&] { flush_item(final_flush, item); });
-        });
-
-        worker_pack[static_cast<std::size_t>(tid)] = pack_s;
-        worker_compute[static_cast<std::size_t>(tid)] = compute_s;
-        worker_flush[static_cast<std::size_t>(tid)] = flush_s;
-        worker_hidden[static_cast<std::size_t>(tid)] = hidden_s;
-    });
-    const double team_wall = team_timer.seconds();
-
-    double pack_total = 0, compute_total = 0, flush_total = 0,
-           hidden_total = 0;
-    for (int i = 0; i < p; ++i) {
-        pack_total += worker_pack[static_cast<std::size_t>(i)];
-        compute_total += worker_compute[static_cast<std::size_t>(i)];
-        flush_total += worker_flush[static_cast<std::size_t>(i)];
-        hidden_total += worker_hidden[static_cast<std::size_t>(i)];
-    }
-    stats_.pack_seconds = pack_total / p;
-    stats_.compute_seconds = compute_total / p;
-    stats_.flush_seconds = flush_total / p;
-    stats_.stall_seconds = std::max(
-        0.0, team_wall - (pack_total + compute_total + flush_total) / p);
-    stats_.overlap_efficiency =
-        pack_total > 0 ? hidden_total / pack_total : 0.0;
-    stats_.pipelined = true;
+    const CbCall<T> call{
+        .a = a, .lda = lda, .b = b, .ldb = ldb, .c = c, .ldc = ldc,
+        .m = m, .n = n, .k = k, .alpha = alpha_s, .beta = beta_s,
+        .prepacked = prepacked, .ta = ta, .tb = tb, .params = params,
+        .kernel = kernel_, .schedule = schedule,
+        .lookahead = cb_lookahead(exec)};
+    CbExecutor<T>::run(pool_, call, ws_, stats_, total_timer);
 }
 
 template class CakeGemmT<float>;

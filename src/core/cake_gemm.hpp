@@ -21,6 +21,7 @@
 
 #include "common/matrix.hpp"
 #include "common/types.hpp"
+#include "core/cb_executor.hpp"
 #include "core/plan_source.hpp"
 #include "core/prepacked.hpp"
 #include "core/schedule.hpp"
@@ -36,11 +37,6 @@ enum class Op {
     kNone,       ///< use the operand as stored
     kTranspose,  ///< use its transpose
 };
-
-namespace detail {
-template <typename T>
-struct GemmCall;  // bundled multiply arguments (defined in cake_gemm.cpp)
-}  // namespace detail
 
 /// Tuning and behaviour knobs. Defaults reproduce the paper's analytically
 /// derived configuration; overrides exist for the ablation benches.
@@ -65,6 +61,9 @@ struct CakeOptions {
     const TunedPlanSource* plan_source = nullptr;
 };
 
+/// The solver overrides `options` carries, sizing elements at `elem_bytes`.
+TilingOptions tiling_options(const CakeOptions& options, index_t elem_bytes);
+
 /// Measured + modelled execution statistics of one multiply.
 struct CakeStats {
     CbBlockParams params;
@@ -80,10 +79,10 @@ struct CakeStats {
     // Wall-clock phase attribution. The four components decompose the
     // block-loop wall time of one (average) core, so
     //   pack + compute + flush + stall ~= total_seconds.
-    // Serial executor: pack/compute/flush are phase wall times. Pipelined
-    // executor: phases overlap, so each is aggregate per-worker busy time
-    // divided by p (summing phase timers around overlapped parallel
-    // sections would double-count wall time).
+    // At both lookaheads each is aggregate per-worker busy time divided by
+    // p (phases may overlap, and summing phase timers around overlapped
+    // sections would double-count wall time); stall is the team's wall
+    // time not covered by that busy time (barrier waits, idle, dispatch).
     double pack_seconds = 0;     ///< A/B panel packing (DRAM fetch)
     double compute_seconds = 0;  ///< micro-kernel macro-loop
     double flush_seconds = 0;    ///< C-surface writeback + local C reset
@@ -95,9 +94,10 @@ struct CakeStats {
     /// compute items), i.e. the share of the paper's Fig. 7 IO cost taken
     /// off the critical path — it overlaps with compute whenever spare
     /// hardware threads exist. The pipeline-fill pack of the first block
-    /// is always exposed. 0 for the serial executor.
+    /// is always exposed. 0 at lookahead 0 (CakeExec::kSerial), where no
+    /// phase holds both pack and compute items.
     double overlap_efficiency = 0;
-    bool pipelined = false;  ///< which executor ran
+    bool pipelined = false;  ///< the block loop ran at lookahead 1
     /// True when a TunedPlanSource supplied at least one override that
     /// this multiply actually applied (i.e. the plan deviates from the
     /// pure analytic §4.3 configuration because of the tuning cache).
@@ -161,8 +161,6 @@ private:
     void multiply_impl(const T* a, index_t lda, const T* b, index_t ldb,
                        T* c, index_t ldc, index_t m, index_t n, index_t k,
                        T alpha_s, T beta_s, const PackedB<T>* prepacked);
-    void run_serial(const detail::GemmCall<T>& call);
-    void run_pipelined(const detail::GemmCall<T>& call);
 
     ThreadPool& pool_;
     CakeOptions options_;
@@ -171,10 +169,7 @@ private:
     MicroKernelT<T> kernel_;
     CakeStats stats_;
 
-    AlignedBuffer<T> pack_a_[2];  ///< double-buffered packed-A panels
-    AlignedBuffer<T> pack_b_[2];  ///< double-buffered packed-B panels
-    AlignedBuffer<T> c_block_;
-    std::vector<AlignedBuffer<T>> scratch_;
+    CbWorkspace<T> ws_;  ///< packed panels, local C, scratch tiles
 };
 
 using CakeGemm = CakeGemmT<float>;

@@ -1,13 +1,10 @@
 #include "core/cake_gemm_int8.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "kernel/kernel_int8.hpp"
-#include "pack/pack_int8.hpp"
 
 namespace cake {
 
@@ -29,45 +26,23 @@ void CakeGemmInt8::multiply(const std::uint8_t* a, index_t lda,
     multiply_impl(a, lda, b, ldb, c, ldc, m, n, k, nullptr);
 }
 
+CbBlockParams CakeGemmInt8::block_params(const Int8MicroKernel& kernel) const
+{
+    // The solver assumes one element size; the s32 partial-result surface
+    // dominates the LLC budget, so size as if every operand were 4 bytes
+    // (inputs are actually 1 byte, giving the real run extra headroom).
+    return compute_cb_block(machine_, options_.p, kernel.mr, kernel.nr,
+                            tiling_options(options_, sizeof(std::int32_t)));
+}
+
 PackedBInt8 CakeGemmInt8::pack_weights(const std::int8_t* b, index_t ldb,
                                        index_t k, index_t n)
 {
     CAKE_CHECK(k >= 1 && n >= 1 && ldb >= n);
-    const Int8MicroKernel kernel = best_int8_microkernel();
-    TilingOptions topts;
-    topts.mc = options_.mc;
-    topts.kc = options_.kc;
-    topts.nc = options_.nc;
-    topts.alpha = options_.alpha;
-    topts.elem_bytes = sizeof(std::int32_t);
-    PackedBInt8 packed;
-    packed.params_ = compute_cb_block(machine_, options_.p, kernel.mr,
-                                      kernel.nr, topts);
-    packed.k_ = k;
-    packed.n_ = n;
-    packed.kb_ = ceil_div(k, packed.params_.k_blk);
-    packed.nb_ = ceil_div(n, packed.params_.n_blk);
-    packed.stride_ = static_cast<std::size_t>(packed_b_int8_size(
-        packed.params_.k_blk, packed.params_.n_blk, kernel.nr));
-    packed.data_ = AlignedBuffer<std::int8_t>(
-        static_cast<std::size_t>(packed.kb_ * packed.nb_) * packed.stride_);
-
-    pool_.parallel_for(0, packed.kb_ * packed.nb_, options_.p,
-                       [&](index_t lo, index_t hi) {
-        for (index_t slot = lo; slot < hi; ++slot) {
-            const index_t k_idx = slot / packed.nb_;
-            const index_t n_idx = slot % packed.nb_;
-            const index_t k0 = k_idx * packed.params_.k_blk;
-            const index_t n0 = n_idx * packed.params_.n_blk;
-            const index_t ki = std::min(packed.params_.k_blk, k - k0);
-            const index_t ni = std::min(packed.params_.n_blk, n - n0);
-            pack_b_panel_int8(b + k0 * ldb + n0, ldb, ki, ni, kernel.nr,
-                              packed.data_.data()
-                                  + static_cast<std::size_t>(slot)
-                                      * packed.stride_);
-        }
-    });
-    return packed;
+    const Int8MicroKernel& kernel = best_int8_microkernel();
+    return CbExecutor<std::int8_t>::pack_weights(
+        pool_, block_params(kernel), kernel.nr, b, ldb, k, n,
+        /*tb=*/false);
 }
 
 void CakeGemmInt8::multiply_prepacked(const std::uint8_t* a, index_t lda,
@@ -97,168 +72,21 @@ void CakeGemmInt8::multiply_impl(const std::uint8_t* a, index_t lda,
     }
 
     Timer total_timer;
-    const int p = options_.p;
-    const Int8MicroKernel kernel = best_int8_microkernel();
-
-    TilingOptions topts;
-    topts.mc = options_.mc;
-    topts.kc = options_.kc;
-    topts.nc = options_.nc;
-    topts.alpha = options_.alpha;
-    // Conservative sizing: the solver assumes uniform element size; the
-    // s32 partial-result surface dominates the LLC budget, so size as if
-    // every operand were 4 bytes (inputs are actually 1 byte, giving the
-    // real run extra headroom).
-    topts.elem_bytes = sizeof(std::int32_t);
-    const CbBlockParams params =
-        compute_cb_block(machine_, p, kernel.mr, kernel.nr, topts);
+    const Int8MicroKernel& kernel = best_int8_microkernel();
+    const CbBlockParams params = block_params(kernel);
     if (prepacked != nullptr) {
         CAKE_CHECK_MSG(prepacked->params() == params,
                        "PackedBInt8 geometry does not match this context");
     }
 
     stats_ = CakeStats{};
-    stats_.params = params;
-
-    const index_t mb = ceil_div(m, params.m_blk);
-    const index_t nb = ceil_div(n, params.n_blk);
-    const index_t kb = ceil_div(k, params.k_blk);
-    stats_.grid_mb = mb;
-    stats_.grid_nb = nb;
-    stats_.grid_kb = kb;
-
-    const std::vector<BlockCoord> order =
-        build_schedule(options_.schedule, mb, nb, kb, /*n_outermost=*/n >= m);
-
-    pack_a_.ensure(static_cast<std::size_t>(
-        packed_a_int8_size(params.m_blk, params.k_blk, kernel.mr)));
-    if (prepacked == nullptr) {
-        pack_b_.ensure(static_cast<std::size_t>(
-            packed_b_int8_size(params.k_blk, params.n_blk, kernel.nr)));
-    }
-    c_block_.ensure(static_cast<std::size_t>(params.m_blk)
-                    * static_cast<std::size_t>(params.n_blk));
-    if (scratch_.size() < static_cast<std::size_t>(p)) {
-        scratch_.resize(static_cast<std::size_t>(p));
-    }
-    for (auto& s : scratch_) {
-        s.ensure(static_cast<std::size_t>(kernel.mr * kernel.nr));
-    }
-
-    std::vector<index_t> k_done(static_cast<std::size_t>(mb * nb), 0);
-    std::vector<char> flushed(static_cast<std::size_t>(mb * nb), 0);
-    BlockCoord last{-1, -1, -1};
-    bool have_last = false;
-    index_t cur_mi = 0, cur_ni = 0;
-
-    auto block_extent = [](index_t idx, index_t blk, index_t total) {
-        return std::min(blk, total - idx * blk);
-    };
-
-    auto flush_c = [&](const BlockCoord& coord, index_t mi, index_t ni) {
-        const std::size_t slot =
-            static_cast<std::size_t>(coord.m * nb + coord.n);
-        const bool acc = options_.accumulate || flushed[slot] != 0;
-        std::int32_t* dst =
-            c + coord.m * params.m_blk * ldc + coord.n * params.n_blk;
-        pool_.parallel_for(0, mi, p, [&](index_t r0, index_t r1) {
-            unpack_c_block(c_block_.data() + r0 * ni, r1 - r0, ni,
-                           dst + r0 * ldc, ldc, acc);
-        });
-        flushed[slot] = 1;
-        ++stats_.c_flushes;
-        const auto bytes = static_cast<std::uint64_t>(mi)
-            * static_cast<std::uint64_t>(ni) * sizeof(std::int32_t);
-        stats_.dram_write_bytes += bytes;
-        if (acc) stats_.dram_read_bytes += bytes;
-        if (k_done[slot] < kb) ++stats_.c_partial_spills;
-    };
-
-    for (const BlockCoord& coord : order) {
-        const index_t mi = block_extent(coord.m, params.m_blk, m);
-        const index_t ni = block_extent(coord.n, params.n_blk, n);
-        const index_t ki = block_extent(coord.k, params.k_blk, k);
-        const index_t m0 = coord.m * params.m_blk;
-        const index_t n0 = coord.n * params.n_blk;
-        const index_t k0 = coord.k * params.k_blk;
-        const index_t kq = int8_kq(ki);
-
-        Timer pack_timer;
-        if (!(have_last && last.m == coord.m && last.k == coord.k)) {
-            pool_.parallel_for(0, ceil_div(mi, kernel.mr), p,
-                               [&](index_t s0, index_t s1) {
-                const index_t r0 = s0 * kernel.mr;
-                const index_t r1 = std::min(mi, s1 * kernel.mr);
-                pack_a_panel_int8(a + (m0 + r0) * lda + k0, lda, r1 - r0, ki,
-                                  kernel.mr, pack_a_.data() + r0 * kq * 4);
-            });
-            ++stats_.a_packs;
-            stats_.dram_read_bytes += static_cast<std::uint64_t>(mi) * ki;
-        }
-        const std::int8_t* pb_block = pack_b_.data();
-        if (prepacked != nullptr) {
-            pb_block = prepacked->panel(coord.k, coord.n);
-            if (!(have_last && last.k == coord.k && last.n == coord.n)) {
-                stats_.dram_read_bytes +=
-                    static_cast<std::uint64_t>(ki) * ni;
-            }
-        } else if (!(have_last && last.k == coord.k && last.n == coord.n)) {
-            pool_.parallel_for(0, ceil_div(ni, kernel.nr), p,
-                               [&](index_t s0, index_t s1) {
-                const index_t c0 = s0 * kernel.nr;
-                const index_t c1 = std::min(ni, s1 * kernel.nr);
-                pack_b_panel_int8(b + k0 * ldb + (n0 + c0), ldb, ki, c1 - c0,
-                                  kernel.nr, pack_b_.data() + c0 * kq * 4);
-            });
-            ++stats_.b_packs;
-            stats_.dram_read_bytes += static_cast<std::uint64_t>(ki) * ni;
-        }
-        if (!(have_last && last.m == coord.m && last.n == coord.n)) {
-            if (have_last) flush_c(last, cur_mi, cur_ni);
-            pool_.parallel_for(0, mi, p, [&](index_t r0, index_t r1) {
-                std::memset(c_block_.data() + r0 * ni, 0,
-                            static_cast<std::size_t>((r1 - r0) * ni)
-                                * sizeof(std::int32_t));
-            });
-            cur_mi = mi;
-            cur_ni = ni;
-        }
-        stats_.pack_seconds += pack_timer.seconds();
-
-        Timer compute_timer;
-        const std::uint8_t* pa = pack_a_.data();
-        const std::int8_t* pb = pb_block;
-        std::int32_t* cb = c_block_.data();
-        const index_t band =
-            round_up(ceil_div(mi, static_cast<index_t>(p)), kernel.mr);
-        pool_.run(p, [&, pa, pb, cb, mi, ni, kq, band](int tid) {
-            const index_t r_begin = std::min<index_t>(tid * band, mi);
-            const index_t r_end = std::min<index_t>((tid + 1) * band, mi);
-            std::int32_t* scratch =
-                scratch_[static_cast<std::size_t>(tid)].data();
-            for (index_t r = r_begin; r < r_end; r += kernel.mr) {
-                const index_t mrows = std::min(kernel.mr, r_end - r);
-                const std::uint8_t* a_sliver =
-                    pa + (r / kernel.mr) * kernel.mr * kq * 4;
-                for (index_t j = 0; j < ni; j += kernel.nr) {
-                    const index_t ncols = std::min(kernel.nr, ni - j);
-                    const std::int8_t* b_sliver =
-                        pb + (j / kernel.nr) * kernel.nr * kq * 4;
-                    run_int8_tile(kernel, kq, a_sliver, b_sliver,
-                                  cb + r * ni + j, ni, mrows, ncols,
-                                  /*accumulate=*/true, scratch);
-                }
-            }
-        });
-        stats_.compute_seconds += compute_timer.seconds();
-
-        ++k_done[static_cast<std::size_t>(coord.m * nb + coord.n)];
-        ++stats_.blocks_executed;
-        last = coord;
-        have_last = true;
-    }
-    if (have_last) flush_c(last, cur_mi, cur_ni);
-    stats_.total_seconds = total_timer.seconds();
+    const CbCall<std::int8_t> call{
+        .a = a, .lda = lda, .b = b, .ldb = ldb, .c = c, .ldc = ldc,
+        .m = m, .n = n, .k = k, .beta = options_.accumulate ? 1 : 0,
+        .prepacked = prepacked, .params = params, .kernel = kernel,
+        .schedule = options_.schedule,
+        .lookahead = cb_lookahead(options_.exec)};
+    CbExecutor<std::int8_t>::run(pool_, call, ws_, stats_, total_timer);
 }
 
 void cake_gemm_s8u8s32(const std::uint8_t* a, const std::int8_t* b,

@@ -1,8 +1,7 @@
-// Quantized CAKE GEMM: C_s32 (+)= A_u8 * B_s8 with the same CB-block
-// partitioning, K-first serpentine schedule and in-local-memory partial
-// accumulation as the float driver — int8 arithmetic quadruples the
-// block's arithmetic intensity per byte, which is exactly the lever §3's
-// analysis pulls (elem_bytes enters the solver).
+// Quantized CAKE GEMM: C_s32 (+)= A_u8 * B_s8 through the same CB-block
+// plan, phase lowering and team executor as the float driver — int8
+// arithmetic quadruples the block's arithmetic intensity per byte, which
+// is exactly the lever §3's analysis pulls (elem_bytes enters the solver).
 #pragma once
 
 #include <cstdint>
@@ -13,34 +12,10 @@
 
 namespace cake {
 
-class CakeGemmInt8;
-
-/// s8 weights packed once into per-CB-block k-quad panels (the int8
-/// analogue of PackedB); tied to the packing context's geometry.
-class PackedBInt8 {
-public:
-    PackedBInt8() = default;
-    [[nodiscard]] index_t k() const { return k_; }
-    [[nodiscard]] index_t n() const { return n_; }
-    [[nodiscard]] const CbBlockParams& params() const { return params_; }
-    [[nodiscard]] bool empty() const { return data_.empty(); }
-    [[nodiscard]] const std::int8_t* panel(index_t k_idx,
-                                           index_t n_idx) const
-    {
-        return data_.data()
-            + static_cast<std::size_t>(k_idx * nb_ + n_idx) * stride_;
-    }
-
-private:
-    friend class CakeGemmInt8;
-    CbBlockParams params_;
-    index_t k_ = 0, n_ = 0, kb_ = 0, nb_ = 0;
-    std::size_t stride_ = 0;
-    AlignedBuffer<std::int8_t> data_;
-};
-
-/// Reusable quantized GEMM context. Uses CakeOptions for p / mc / alpha /
-/// schedule; op_* and isa follow the int8 kernel family's own dispatch.
+/// Reusable quantized GEMM context: the int8 instantiation of the one CB
+/// executor (core/cb_executor.hpp). Uses CakeOptions for p / mc / kc / nc /
+/// alpha / schedule / exec / accumulate; op_* must be kNone, and isa follows
+/// the int8 kernel family's own dispatch.
 class CakeGemmInt8 {
 public:
     CakeGemmInt8(ThreadPool& pool, CakeOptions options = {});
@@ -64,6 +39,9 @@ public:
     [[nodiscard]] const CakeStats& stats() const { return stats_; }
 
 private:
+    [[nodiscard]] CbBlockParams block_params(const Int8MicroKernel& kernel)
+        const;
+
     void multiply_impl(const std::uint8_t* a, index_t lda,
                        const std::int8_t* b, index_t ldb, std::int32_t* c,
                        index_t ldc, index_t m, index_t n, index_t k,
@@ -74,10 +52,7 @@ private:
     MachineSpec machine_;
     CakeStats stats_;
 
-    AlignedBuffer<std::uint8_t> pack_a_;
-    AlignedBuffer<std::int8_t> pack_b_;
-    AlignedBuffer<std::int32_t> c_block_;
-    std::vector<AlignedBuffer<std::int32_t>> scratch_;
+    CbWorkspace<std::int8_t> ws_;
 };
 
 /// One-shot raw-pointer wrapper (BLAS-style gemm_s8u8s32).

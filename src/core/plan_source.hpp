@@ -19,21 +19,22 @@
 
 namespace cake {
 
-/// Block-loop executor selection (consumed by CakeGemmT, defined here so
-/// plan overrides can carry it without depending on the driver header).
+/// Block-loop executor selection (consumed by CakeGemmT and CakeGemmInt8,
+/// defined here so plan overrides can carry it without depending on the
+/// driver header). Every choice runs the one CB executor
+/// (core/cb_executor.hpp): a persistent worker team walks the lowered phase
+/// list (core/block_plan.hpp), with spin barriers between phases and work
+/// items claimed off a counter. The choice only sets its lookahead.
 enum class CakeExec {
-    /// Pick the pipelined executor (it is bit-exact with the serial one
-    /// and strictly cheaper in synchronisation).
+    /// Lookahead 1 (same as kPipelined).
     kAuto,
-    /// One pool dispatch per phase: pack -> compute -> flush strictly in
-    /// sequence per block, every DRAM fetch exposed on the critical path.
-    /// Kept as the overlap-off baseline for benches and bit-exactness
-    /// tests.
+    /// Lookahead 0: each block's fresh surfaces are packed in their own
+    /// phase before its compute phase, so every DRAM fetch sits on the
+    /// critical path. Kept as the overlap-off baseline for benches and
+    /// bit-exactness tests.
     kSerial,
-    /// Software-pipelined: a persistent worker team stays resident across
-    /// the whole block loop (spin barriers between phases, no condvar
-    /// wakeups) and packs block i+1's non-shared surfaces while block i
-    /// computes, double-buffering the packed-A/packed-B panels.
+    /// Lookahead 1: block i+1's non-shared surfaces are packed while block
+    /// i computes, double-buffering the packed-A/packed-B panels.
     kPipelined,
 };
 

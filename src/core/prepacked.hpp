@@ -4,10 +4,11 @@
 // per-call overhead of skewed DNN shapes (§5.2.1).
 //
 // A PackedB is tied to the CB geometry it was packed for (machine, p, mc,
-// alpha, kernel); multiply_prepacked verifies the geometry matches.
+// alpha, kernel); multiply_prepacked verifies the geometry matches. The
+// same class holds f32, f64 and s8 weights (CbExecutor<T>::pack_weights).
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
 #include "common/aligned.hpp"
 #include "core/tiling.hpp"
@@ -15,9 +16,10 @@
 namespace cake {
 
 template <typename T>
-class CakeGemmT;
+struct CbExecutor;
 
-/// B operand packed once into per-CB-block nr-sliver panels.
+/// B operand packed once into per-CB-block nr-sliver panels (k-quad
+/// slivers for s8, see pack/pack_int8.hpp).
 template <typename T>
 class PackedB {
 public:
@@ -49,7 +51,7 @@ public:
     [[nodiscard]] bool empty() const { return data_.empty(); }
 
 private:
-    friend class CakeGemmT<T>;
+    friend struct CbExecutor<T>;
 
     CbBlockParams params_;
     index_t k_ = 0;
@@ -62,5 +64,6 @@ private:
 
 using PackedBF = PackedB<float>;
 using PackedBD = PackedB<double>;
+using PackedBInt8 = PackedB<std::int8_t>;  ///< k-quad s8 panels
 
 }  // namespace cake

@@ -259,14 +259,14 @@ TEST(CakeGemm, ReusedContextIsConsistent)
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined executor: must be BIT-exact with the serial executor (identical
-// per-sliver / per-band floating-point operation sequences, only claimed by
-// different workers), and its precomputed counting stats must match the
-// serial executor's incremental bookkeeping.
+// Lookahead 1 (kPipelined) must be BIT-exact with lookahead 0 (kSerial):
+// identical per-sliver / per-band floating-point operation sequences, only
+// in different phases and claimed by different workers. Both report the
+// same counting stats.
 // ---------------------------------------------------------------------------
 
-/// Run the same multiply through both executors and require bit equality
-/// of C plus identical modelled stats.
+/// Run the same multiply at both lookaheads and require bit equality of C
+/// plus identical modelled stats.
 void expect_pipelined_bit_exact(CakeOptions base, index_t m, index_t n,
                                 index_t k, float alpha, float beta,
                                 std::uint64_t seed)

@@ -12,9 +12,11 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/checked.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "kernel/microkernel.hpp"
 #include "pack/pack.hpp"
 
@@ -198,6 +200,23 @@ TEST(CheckedTest, RequireExtentTraps)
     EXPECT_NO_THROW(require_extent(0, 10, 10, "exact fit"));
     EXPECT_THROW(require_extent(1, 10, 10, "off the end"), CheckedError);
     EXPECT_THROW(require_extent(-1, 2, 10, "negative start"), CheckedError);
+}
+
+TEST(CheckedTest, Int8PackedPanelOutOfRangeTraps)
+{
+    // The s8 weights share PackedB's bounds-checked panel() accessor: a
+    // K-block index one past the packed grid traps instead of returning a
+    // pointer past the storage.
+    ScopedThrowingTraps traps;
+    ThreadPool pool(2);
+    const index_t k = 70, n = 50;
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), 1);
+    CakeGemmInt8 gemm(pool);
+    const PackedBInt8 packed = gemm.pack_weights(b.data(), n, k, n);
+    const index_t kb = ceil_div(k, packed.params().k_blk);
+    EXPECT_NO_THROW((void)packed.panel(kb - 1, 0));
+    const std::string msg = trap_message([&] { (void)packed.panel(kb, 0); });
+    EXPECT_NE(msg.find("pre-packed B panel"), std::string::npos) << msg;
 }
 
 #endif  // CAKE_CHECKED_ENABLED

@@ -159,18 +159,50 @@ TEST_P(Int8GemmShapeTest, ExactAgainstIntegerOracle)
     std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
     fill_random_u8(a, rng);
     fill_random_s8(b, rng);
-    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 999);
-
-    CakeOptions options;
-    options.mc = best_int8_microkernel().mr * 4;
-    cake_gemm_s8u8s32(a.data(), b.data(), c.data(), m, n, k, test_pool(),
-                      options);
-
+    std::vector<std::int32_t> c0(static_cast<std::size_t>(m * n));
+    for (auto& x : c0) {
+        x = static_cast<std::int32_t>(rng.next_below(2001)) - 1000;
+    }
     const auto oracle = int_oracle(a, b, m, n, k);
-    for (index_t i = 0; i < m * n; ++i) {
-        ASSERT_EQ(static_cast<std::int64_t>(c[static_cast<std::size_t>(i)]),
-                  oracle[static_cast<std::size_t>(i)])
-            << "m=" << m << " n=" << n << " k=" << k << " idx=" << i;
+
+    // Every schedule (the non-K-first ones spill and revisit partial
+    // surfaces, exercising the accumulate flush) at both lookaheads, with
+    // per-call packing, pre-packed weights and C += A*B.
+    enum class Variant { kPlain, kPrepacked, kAccumulate };
+    for (const ScheduleKind kind : all_schedule_kinds()) {
+        for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+            for (const Variant variant :
+                 {Variant::kPlain, Variant::kPrepacked, Variant::kAccumulate}) {
+                CakeOptions options;
+                options.mc = best_int8_microkernel().mr * 4;
+                options.schedule = kind;
+                options.exec = exec;
+                options.accumulate = variant == Variant::kAccumulate;
+                CakeGemmInt8 gemm(test_pool(), options);
+                std::vector<std::int32_t> c = c0;
+                if (variant == Variant::kPrepacked) {
+                    const PackedBInt8 packed =
+                        gemm.pack_weights(b.data(), n, k, n);
+                    gemm.multiply_prepacked(a.data(), k, packed, c.data(), n,
+                                            m);
+                } else {
+                    gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m,
+                                  n, k);
+                }
+                for (index_t i = 0; i < m * n; ++i) {
+                    const auto idx = static_cast<std::size_t>(i);
+                    const std::int64_t want = oracle[idx]
+                        + (options.accumulate ? c0[idx] : 0);
+                    ASSERT_EQ(static_cast<std::int64_t>(c[idx]), want)
+                        << "m=" << m << " n=" << n << " k=" << k
+                        << " idx=" << i << " schedule="
+                        << schedule_kind_name(kind) << " exec="
+                        << (exec == CakeExec::kSerial ? "serial"
+                                                      : "pipelined")
+                        << " variant=" << static_cast<int>(variant);
+                }
+            }
+        }
     }
 }
 
@@ -235,6 +267,48 @@ TEST(Int8Gemm, PrepackedMatchesRegular)
     EXPECT_THROW(
         gemm2.multiply_prepacked(a.data(), k, packed, c_pre.data(), n, m),
         Error);
+}
+
+TEST(Int8Gemm, TrafficAccountingPinned)
+{
+    // Operand traffic is counted at 1 byte per A/B element and 4 per C
+    // element. The tiling is pinned (p, mc, kc, nc) so the counts do not
+    // depend on the host's caches or int8 kernel width (every int8 kernel
+    // has mr = 4 and nr divides 64).
+    struct Expect {
+        index_t m, n, k;
+        index_t a_packs, b_packs, c_flushes, c_partial_spills;
+        std::uint64_t dram_read, dram_write;
+    };
+    const Expect cases[] = {
+        {150, 170, 90, 25, 21, 9, 0, 75120, 102000},
+        {64, 64, 64, 2, 2, 1, 0, 8192, 16384},
+        {97, 200, 300, 61, 60, 8, 0, 227200, 77600},
+    };
+    for (const Expect& e : cases) {
+        std::vector<std::uint8_t> a(static_cast<std::size_t>(e.m * e.k), 1);
+        std::vector<std::int8_t> b(static_cast<std::size_t>(e.k * e.n), 1);
+        std::vector<std::int32_t> c(static_cast<std::size_t>(e.m * e.n), 0);
+        CakeOptions options;
+        options.p = 4;
+        options.mc = 16;
+        options.kc = 40;
+        options.nc = 64;
+        CakeGemmInt8 gemm(test_pool(), options);
+        gemm.multiply(a.data(), e.k, b.data(), e.n, c.data(), e.n, e.m, e.n,
+                      e.k);
+        const CakeStats& s = gemm.stats();
+        EXPECT_EQ(s.a_packs, e.a_packs) << e.m << "x" << e.n << "x" << e.k;
+        EXPECT_EQ(s.b_packs, e.b_packs) << e.m << "x" << e.n << "x" << e.k;
+        EXPECT_EQ(s.c_flushes, e.c_flushes)
+            << e.m << "x" << e.n << "x" << e.k;
+        EXPECT_EQ(s.c_partial_spills, e.c_partial_spills)
+            << e.m << "x" << e.n << "x" << e.k;
+        EXPECT_EQ(s.dram_read_bytes, e.dram_read)
+            << e.m << "x" << e.n << "x" << e.k;
+        EXPECT_EQ(s.dram_write_bytes, e.dram_write)
+            << e.m << "x" << e.n << "x" << e.k;
+    }
 }
 
 TEST(Quant, UnsignedRoundTripWithinOneStep)

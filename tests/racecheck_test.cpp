@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "analysis/racecheck.hpp"
 #include "analysis/schedshake.hpp"
@@ -17,6 +18,8 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
+#include "kernel/kernel_int8.hpp"
 #include "kernel/registry.hpp"
 #include "threading/thread_pool.hpp"
 
@@ -71,6 +74,21 @@ void run_small_pipelined()
     b.fill_random(rng);
     CakeGemm gemm(test_pool(), small_options(CakeExec::kPipelined));
     gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+}
+
+void run_small_int8(CakeExec exec)
+{
+    const index_t m = 96, n = 96, k = 48;
+    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k), 3);
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), -2);
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 0);
+    CakeOptions options;
+    options.mc = best_int8_microkernel().mr * 2;  // multi-block grid
+    options.kc = 16;
+    options.exec = exec;
+    CakeGemmInt8 gemm(test_pool(), options);
+    gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+    for (const std::int32_t v : c) ASSERT_EQ(v, -6 * k);
 }
 
 // --- engine-level happens-before checks ---------------------------------
@@ -213,6 +231,38 @@ TEST(RaceCheckExecutor, PipelinedMultiplyIsRaceClean)
     const std::uint64_t races_before = racecheck::race_count();
     run_small_pipelined();
     EXPECT_EQ(racecheck::race_count(), races_before);
+}
+
+TEST(RaceCheckExecutor, Int8MultiplyIsRaceCleanAtBothLookaheads)
+{
+    TrapGuard trap;
+    const std::uint64_t races_before = racecheck::race_count();
+    run_small_int8(CakeExec::kSerial);
+    run_small_int8(CakeExec::kPipelined);
+    EXPECT_EQ(racecheck::race_count(), races_before);
+}
+
+TEST(RaceCheckExecutor, SeveredBarrierEdgeIsCaughtOnTheInt8Path)
+{
+    // The int8 executor registers the same shadow regions as the float
+    // one: with barrier edges ignored, its pack -> compute handoffs race.
+    TrapGuard trap;
+    racecheck::test_sever_edge(racecheck::Edge::kBarrier);
+    std::string message;
+    for (std::uint64_t seed = 0; seed < 8 && message.empty(); ++seed) {
+        schedshake::configure(seed, 85);
+        try {
+            run_small_int8(CakeExec::kPipelined);
+        } catch (const CheckedError& e) {
+            message = e.what();
+        }
+    }
+    schedshake::disable();
+    racecheck::test_restore_edges();
+    ASSERT_FALSE(message.empty())
+        << "auditor saw no race in 8 fuzzed int8 runs with the barrier "
+           "edge severed";
+    EXPECT_NE(message.find("RC_RACE"), std::string::npos) << message;
 }
 
 TEST(RaceCheckExecutor, SeveredBarrierEdgeIsCaughtInThePipeline)

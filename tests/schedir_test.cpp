@@ -4,16 +4,23 @@
 // the runtime stats counters and the memsim address stream byte-exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <map>
 #include <tuple>
+#include <vector>
 
 #include "analysis/schedir.hpp"
 #include "analysis/verify.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "gotoblas/goto_gemm.hpp"
 #include "kernel/registry.hpp"
 #include "machine/machine.hpp"
+#include "obs/trace.hpp"
 
 namespace cake {
 namespace {
@@ -122,6 +129,13 @@ struct MutationCase {
     Mutation mutation;
     const char* expected;
 };
+
+// Without a printer gtest names each case by the struct's raw bytes, which
+// hold the literal's address and padding and so change from build to build.
+void PrintTo(const MutationCase& mc, std::ostream* os)
+{
+    *os << schedir::mutation_name(mc.mutation) << ':' << mc.expected;
+}
 
 class MutationTest : public ::testing::TestWithParam<MutationCase> {};
 
@@ -287,6 +301,163 @@ TEST(IoAgainstRuntime, GotoStatsMatchIr)
     EXPECT_EQ(io.reads(), stats.dram_read_bytes);
     EXPECT_EQ(io.writes(), stats.dram_write_bytes);
 }
+
+// ------------------------------------------- IR phases vs traced spans
+
+#if CAKE_OBS_ENABLED
+
+/// Per-phase op counts, indexed [phase][kind] over the five kinds the
+/// executor emits a span for (pack.A, pack.B, compute, flush.write,
+/// flush.zero).
+using PhaseCounts = std::vector<std::array<index_t, 5>>;
+
+int span_kind(const char* name)
+{
+    const char* names[] = {"pack.A", "pack.B", "compute", "flush.write",
+                           "flush.zero"};
+    for (int i = 0; i < 5; ++i) {
+        if (std::strcmp(name, names[i]) == 0) return i;
+    }
+    return -1;
+}
+
+int op_kind(schedir::OpKind kind)
+{
+    switch (kind) {
+    case schedir::OpKind::kPackA: return 0;
+    case schedir::OpKind::kPackB: return 1;
+    case schedir::OpKind::kCompute: return 2;
+    case schedir::OpKind::kFlush: return 3;
+    case schedir::OpKind::kZeroC: return 4;
+    case schedir::OpKind::kStreamB: break;  // no work item, no span
+    }
+    return -1;
+}
+
+PhaseCounts ir_phase_counts(const ScheduleIR& ir)
+{
+    PhaseCounts counts(static_cast<std::size_t>(ir.num_phases),
+                       std::array<index_t, 5>{});
+    for (const schedir::TileOp& op : ir.ops) {
+        const int kind = op_kind(op.kind);
+        if (kind >= 0) ++counts[static_cast<std::size_t>(op.phase)][kind];
+    }
+    return counts;
+}
+
+/// Attribute the traced spans to phases. Barriers separate phases, so
+/// every span of phase q starts no later than any span of phase q + 1:
+/// in start order, phase q's spans are the next sum(expected[q]) ones.
+PhaseCounts traced_phase_counts(const obs::TraceDump& dump,
+                                const PhaseCounts& expected)
+{
+    std::vector<obs::TraceEvent> spans;
+    for (const obs::ThreadTrace& t : dump.threads) {
+        for (const obs::TraceEvent& e : t.events) {
+            if (span_kind(e.name) >= 0) spans.push_back(e);
+        }
+    }
+    std::sort(spans.begin(), spans.end(),
+              [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                  return std::tie(a.start_ns, a.dur_ns)
+                      < std::tie(b.start_ns, b.dur_ns);
+              });
+    PhaseCounts got(expected.size(), std::array<index_t, 5>{});
+    std::size_t next = 0;
+    for (std::size_t q = 0; q < expected.size(); ++q) {
+        index_t n = 0;
+        for (const index_t c : expected[q]) n += c;
+        for (index_t i = 0; i < n && next < spans.size(); ++i, ++next) {
+            ++got[q][span_kind(spans[next].name)];
+        }
+    }
+    EXPECT_EQ(next, spans.size()) << "more spans traced than IR ops";
+    return got;
+}
+
+/// Run `multiply` traced and require its spans, phase by phase and kind
+/// by kind, to equal the ops extract_cake_ir emits for the stats' params.
+template <typename Multiply>
+void expect_spans_match_ir(const char* what, Multiply&& multiply,
+                           const GemmShape& shape, ScheduleKind kind,
+                           bool prepacked)
+{
+    obs::disable();
+    obs::reset();
+    obs::enable(1 << 16);
+    const CakeStats stats = multiply();
+    obs::disable();
+    const obs::TraceDump dump = obs::collect();
+    obs::reset();
+    ASSERT_EQ(dump.total_dropped(), 0u) << what;
+
+    const ScheduleIR ir = schedir::extract_cake_ir(
+        shape, stats.params, kind,
+        stats.pipelined ? Exec::kPipelined : Exec::kSerial, prepacked);
+    ASSERT_TRUE(schedir::verify_schedule_ir(ir).ok()) << what;
+    for (const schedir::TileOp& op : ir.ops) {
+        ASSERT_EQ(op.worker, -1) << what << ": CAKE ops are claimed items";
+    }
+    const PhaseCounts want = ir_phase_counts(ir);
+    const PhaseCounts got = traced_phase_counts(dump, want);
+    ASSERT_GT(want.size(), 3u) << what;
+    for (std::size_t q = 0; q < want.size(); ++q) {
+        const std::string into = q == 0 ? "fill" : ir.barrier_label[q - 1];
+        EXPECT_EQ(got[q], want[q])
+            << what << ": phase " << q << " (" << into << ")";
+    }
+}
+
+TEST(SpansAgainstIr, EveryExecutorInstantiationRunsTheVerifiedPhases)
+{
+    const GemmShape shape{150, 170, 90};
+    Rng rng(4321);
+    Matrix a(shape.m, shape.k), b(shape.k, shape.n), c(shape.m, shape.n);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+        CakeOptions options;
+        options.mc = best_microkernel().mr * 2;
+        options.exec = exec;
+        CakeGemm gemm(test_pool(), options);
+        expect_spans_match_ir(
+            exec == CakeExec::kSerial ? "f32 lookahead 0" : "f32 lookahead 1",
+            [&] {
+                gemm.multiply(a.data(), shape.k, b.data(), shape.n,
+                              c.data(), shape.n, shape.m, shape.n, shape.k);
+                return gemm.stats();
+            },
+            shape, options.schedule, /*prepacked=*/false);
+    }
+
+    // int8: its own kernel geometry (mr = 4, nr = 16 or 32) and 1-byte
+    // operands, through the same lowering; pre-packed weights, as in
+    // inference serving.
+    std::vector<std::uint8_t> qa(static_cast<std::size_t>(shape.m * shape.k),
+                                 5);
+    std::vector<std::int8_t> qb(static_cast<std::size_t>(shape.k * shape.n),
+                                -3);
+    std::vector<std::int32_t> qc(static_cast<std::size_t>(shape.m * shape.n));
+    CakeOptions options;
+    options.mc = best_int8_microkernel().mr * 4;
+    options.kc = 32;
+    CakeGemmInt8 gemm(test_pool(), options);
+    const PackedBInt8 packed =
+        gemm.pack_weights(qb.data(), shape.n, shape.k, shape.n);
+    expect_spans_match_ir(
+        "int8 lookahead 1",
+        [&] {
+            gemm.multiply_prepacked(qa.data(), shape.k, packed, qc.data(),
+                                    shape.n, shape.m);
+            return gemm.stats();
+        },
+        shape, options.schedule, /*prepacked=*/true);
+    EXPECT_EQ(gemm.stats().params.mr, best_int8_microkernel().mr);
+    EXPECT_EQ(gemm.stats().params.nr, best_int8_microkernel().nr);
+    for (const std::int32_t v : qc) ASSERT_EQ(v, -15 * shape.k);
+}
+
+#endif  // CAKE_OBS_ENABLED
 
 // ------------------------------------------------------- memsim agreement
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Build the threading-sensitive tests under ThreadSanitizer and run them.
 #
-# The pipelined CB-block executor synchronises through atomics (spin
-# barrier, phase work counters) whose correctness depends on subtle memory
-# ordering — TSan is the cheapest way to catch a regression there. Uses a
+# The CB-block executor synchronises through atomics (spin barrier, phase
+# work counters) whose correctness depends on subtle memory ordering —
+# TSan is the cheapest way to catch a regression there. Both the float
+# (cake_gemm_test) and the int8 (int8_test) instantiations run. Uses a
 # dedicated build directory so the ordinary build stays untouched.
 #
 # Exit status: nonzero if the build fails, any test fails, or the
@@ -23,7 +24,8 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DCAKE_SANITIZE="${sanitizer}" \
   -DCAKE_BUILD_BENCH=OFF \
   -DCAKE_BUILD_EXAMPLES=OFF
-cmake --build "${build_dir}" -j --target threading_test cake_gemm_test
+cmake --build "${build_dir}" -j --target threading_test cake_gemm_test \
+  int8_test
 
 # Compose TSAN_OPTIONS so caller-supplied options EXTEND the defaults
 # instead of silently replacing them (the old `${TSAN_OPTIONS:-...}` form
@@ -43,9 +45,11 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
 status=0
 "${build_dir}/tests/threading_test" || status=$?
-if [[ ${status} -eq 0 ]]; then
-  "${build_dir}/tests/cake_gemm_test" || status=$?
-fi
+for t in cake_gemm_test int8_test; do
+  if [[ ${status} -eq 0 ]]; then
+    "${build_dir}/tests/${t}" || status=$?
+  fi
+done
 
 if [[ ${status} -eq 66 ]]; then
   echo "${sanitizer} sanitizer REPORTED ERRORS (exit ${status})." >&2
