@@ -96,6 +96,7 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
     }
 
     const auto e = static_cast<std::uint64_t>(ir.elem_bytes);
+    const auto ab = static_cast<std::uint64_t>(ir.operand_bytes);
     const auto col_of = [&](const BlockCoord& c) { return c.m * ir.nb + c.n; };
 
     // Byte-weighted LRU stack over the combined surface stream; MRU at
@@ -152,8 +153,8 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
             clip(cur.n, ir.params.n_blk, ir.shape.n));
         const auto ki = static_cast<std::uint64_t>(
             clip(cur.k, ir.params.k_blk, ir.shape.k));
-        const std::uint64_t a_bytes = mi * ki * e;
-        const std::uint64_t b_bytes = ki * ni * e;
+        const std::uint64_t a_bytes = mi * ki * ab;
+        const std::uint64_t b_bytes = ki * ni * ab;
         const std::uint64_t c_bytes = mi * ni * e;
 
         Transition tr;

@@ -136,7 +136,8 @@ TileSpan make_span(int buffer, int slot, index_t gen, Access access,
 
 ScheduleIR extract_cake_ir(const GemmShape& shape,
                            const CbBlockParams& params, ScheduleKind kind,
-                           Exec exec, bool use_prepacked, bool beta_nonzero)
+                           Exec exec, bool use_prepacked, bool beta_nonzero,
+                           index_t operand_bytes)
 {
     CAKE_CHECK_MSG(exec != Exec::kGoto,
                    "extract_cake_ir handles serial/pipelined only");
@@ -145,6 +146,8 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     const index_t mr = params.mr;
     const index_t nr = params.nr;
     const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
+    const auto operand = static_cast<std::uint64_t>(
+        operand_bytes > 0 ? operand_bytes : params.elem_bytes);
 
     IrBuilder b;
     ScheduleIR& ir = b.ir;
@@ -157,6 +160,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     ir.nb = ceil_div(shape.n, params.n_blk);
     ir.kb = ceil_div(shape.k, params.k_blk);
     ir.elem_bytes = params.elem_bytes;
+    ir.operand_bytes = static_cast<index_t>(operand);
     ir.n_outermost = shape.n >= shape.m;
     ir.use_prepacked = use_prepacked;
     ir.beta_nonzero = beta_nonzero;
@@ -165,8 +169,9 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     // The SAME order, plan and phase list the CB executor runs
     // (core/block_plan.cpp, core/cb_executor.cpp).
     const LoweredPlan lowered = lower_multiply(
-        {.params = params, .m = shape.m, .n = shape.n, .k = shape.k,
-         .ldc = shape.n, .use_prepacked = use_prepacked,
+        {.params = params, .operand_bytes = operand_bytes, .m = shape.m,
+         .n = shape.n, .k = shape.k, .ldc = shape.n,
+         .use_prepacked = use_prepacked,
          .beta_nonzero = beta_nonzero},
         kind, lookahead);
     const BlockPlan& plan = lowered.plan;
@@ -199,7 +204,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
             kBufPackA, st.a_slot, st.a_gen,
             Access::kWrite, s0, s1, 0, 1, /*creates=*/true));
         op.dram_read_bytes = static_cast<std::uint64_t>(r1 - r0)
-            * static_cast<std::uint64_t>(st.ki) * elem;
+            * static_cast<std::uint64_t>(st.ki) * operand;
     };
     auto emit_pack_b = [&](const BlockStep& st, index_t item) {
         const auto [s0, s1] =
@@ -213,7 +218,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
             kBufPackB, st.b_slot, st.b_gen,
             Access::kWrite, s0, s1, 0, 1, /*creates=*/true));
         op.dram_read_bytes = static_cast<std::uint64_t>(c1 - c0)
-            * static_cast<std::uint64_t>(st.ki) * elem;
+            * static_cast<std::uint64_t>(st.ki) * operand;
     };
     // Prepacked B: no pack work, but the panel still streams from
     // external memory once per fresh surface.
@@ -223,7 +228,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                                      st.k0 + st.ki, st.n0,
                                      st.n0 + st.ni));
         op.dram_read_bytes = static_cast<std::uint64_t>(st.ki)
-            * static_cast<std::uint64_t>(st.ni) * elem;
+            * static_cast<std::uint64_t>(st.ni) * operand;
     };
     // One row group of the departing column recorded in `fl`'s flush_*
     // fields, written back to user C.
@@ -315,6 +320,7 @@ ScheduleIR extract_goto_ir(const GemmShape& shape,
     ir.params.nr = nr;
     ir.params.elem_bytes = elem_bytes;  // keep the dtype fields consistent
     ir.elem_bytes = elem_bytes;
+    ir.operand_bytes = elem_bytes;
     ir.beta_nonzero = accumulate;
     ir.expected_accums = ceil_div(shape.k, kc);
     ir.buffers = {

@@ -95,7 +95,8 @@ struct ScheduleIR {
     GotoBlocking blocking;  ///< GOTO blocking (default for CAKE)
     int p = 0;              ///< worker count
     index_t mb = 0, nb = 0, kb = 0;  ///< CB-block grid (CAKE)
-    index_t elem_bytes = 4;
+    index_t elem_bytes = 4;     ///< C (accumulator) element width
+    index_t operand_bytes = 4;  ///< A/B element width (1 for int8)
     bool n_outermost = true;
     bool use_prepacked = false;
     bool beta_nonzero = false;
@@ -114,10 +115,13 @@ struct ScheduleIR {
 /// phase list (lower_block_plan), every op dynamically claimed. kPipelined
 /// is lookahead 1 (pack(t+1)+compute(t) main phases, double-buffered pack
 /// slots); kSerial is lookahead 0 (packing in its own phases, one slot).
+/// `operand_bytes` is the A/B element width the pack and stream ops move
+/// (1 for int8); 0 means params.elem_bytes, which is always the C width.
 ScheduleIR extract_cake_ir(const GemmShape& shape,
                            const CbBlockParams& params, ScheduleKind kind,
                            Exec exec, bool use_prepacked = false,
-                           bool beta_nonzero = false);
+                           bool beta_nonzero = false,
+                           index_t operand_bytes = 0);
 
 /// Extract the IR of a GOTO multiply: one packB + one compute phase per
 /// (jc, pc) pass, each worker's ic blocks in program order. `elem_bytes`

@@ -540,6 +540,7 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
         }
     } else {
         const auto e = static_cast<std::uint64_t>(ir.elem_bytes);
+        const auto ab = static_cast<std::uint64_t>(ir.operand_bytes);
         const auto col_of = [&](const BlockCoord& c) {
             return c.m * ir.nb + c.n;
         };
@@ -558,8 +559,8 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
                 clip(cur.n, ir.params.n_blk, ir.shape.n));
             const auto ki = static_cast<std::uint64_t>(
                 clip(cur.k, ir.params.k_blk, ir.shape.k));
-            if (!sh.a) want.a_read += mi * ki * e;
-            if (!sh.b) want.b_read += ki * ni * e;
+            if (!sh.a) want.a_read += mi * ki * ab;
+            if (!sh.b) want.b_read += ki * ni * ab;
             if (!sh.c) {
                 if (i > 0) {
                     const BlockCoord& prev = ir.order[i - 1];
@@ -669,7 +670,7 @@ void check_constbw(const ScheduleIR& ir, VerifyReport& report)
     const std::uint64_t constant =
         static_cast<std::uint64_t>(ir.params.m_blk + ir.params.n_blk)
         * static_cast<std::uint64_t>(ir.params.k_blk)
-        * static_cast<std::uint64_t>(ir.elem_bytes);
+        * static_cast<std::uint64_t>(ir.operand_bytes);
     for (std::size_t i = 1; i < ir.order.size(); ++i) {
         if (sink.full()) return;
         const BlockCoord& prev = ir.order[i - 1];
@@ -747,10 +748,11 @@ VerifyReport cross_check_memsim(const ScheduleIR& ir)
 {
     VerifyReport report;
     IssueSink sink{report};
-    if (ir.use_prepacked || ir.beta_nonzero) {
+    if (ir.use_prepacked || ir.beta_nonzero
+        || ir.operand_bytes != ir.elem_bytes) {
         sink.add("IR_MALFORMED",
                  "memsim cross-check requires a non-prepacked, "
-                 "beta == 0 IR");
+                 "beta == 0 IR with one element width");
         return report;
     }
     CountingSink counts;

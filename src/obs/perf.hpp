@@ -29,13 +29,12 @@
 // (after the ThreadPool join that ends a multiply). Hot-path cost when
 // disarmed: one relaxed atomic load per ScopedPhaseDelta.
 //
-// Build modes: the layer rides the obs gate (-DCAKE_TRACE_DISABLED=ON
-// compiles it out with the rest of src/obs) and additionally honours
-// -DCAKE_PERF_DISABLED=ON, which compiles out ONLY the counter layer —
-// every function below becomes a constexpr/inline no-op, perf.cpp becomes
-// an empty translation unit, and no cake::obs::perf symbol reaches release
-// objects (nm-gated in .github/workflows/analysis.yml). Non-Linux hosts
-// degrade the same way at compile time.
+// Build modes: the layer rides the obs gate. -DCAKE_TRACE_DISABLED=ON
+// compiles it out with the rest of src/obs: every function below becomes
+// a constexpr/inline no-op, perf.cpp becomes an empty translation unit,
+// and no cake::obs::perf symbol reaches release objects (nm-gated in
+// .github/workflows/analysis.yml). Non-Linux hosts degrade the same way
+// at compile time.
 #pragma once
 
 #include <array>
@@ -45,9 +44,7 @@
 
 #include "obs/trace.hpp"  // CAKE_OBS_ENABLED, Phase, thread_worker()
 
-#if defined(CAKE_PERF_DISABLED) && CAKE_PERF_DISABLED
-#define CAKE_PERF_ENABLED 0
-#elif CAKE_OBS_ENABLED && defined(__linux__)
+#if CAKE_OBS_ENABLED && defined(__linux__)
 #define CAKE_PERF_ENABLED 1
 #else
 #define CAKE_PERF_ENABLED 0
@@ -298,10 +295,10 @@ void publish(const PerfDump& dump);
 
 #else  // !CAKE_PERF_ENABLED
 
-// Compiled-out build (-DCAKE_PERF_DISABLED=ON, obs disabled, or
-// non-Linux): every entry point is a constexpr/inline no-op the optimiser
-// deletes at the call site; perf.cpp is an empty translation unit, so no
-// cake::obs::perf symbol reaches release objects.
+// Compiled-out build (-DCAKE_TRACE_DISABLED=ON or non-Linux): every
+// entry point is a constexpr/inline no-op the optimiser deletes at the
+// call site; perf.cpp is an empty translation unit, so no cake::obs::perf
+// symbol reaches release objects.
 
 [[nodiscard]] inline std::vector<CounterSpec> default_counter_specs()
 {

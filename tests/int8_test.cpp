@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/schedir.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm_int8.hpp"
@@ -274,7 +275,8 @@ TEST(Int8Gemm, TrafficAccountingPinned)
     // Operand traffic is counted at 1 byte per A/B element and 4 per C
     // element. The tiling is pinned (p, mc, kc, nc) so the counts do not
     // depend on the host's caches or int8 kernel width (every int8 kernel
-    // has mr = 4 and nr divides 64).
+    // has mr = 4 and nr divides 64). The schedule IR of the same multiply,
+    // at 1-byte operands, must model the same bytes.
     struct Expect {
         index_t m, n, k;
         index_t a_packs, b_packs, c_flushes, c_partial_spills;
@@ -307,6 +309,17 @@ TEST(Int8Gemm, TrafficAccountingPinned)
         EXPECT_EQ(s.dram_read_bytes, e.dram_read)
             << e.m << "x" << e.n << "x" << e.k;
         EXPECT_EQ(s.dram_write_bytes, e.dram_write)
+            << e.m << "x" << e.n << "x" << e.k;
+        const schedir::IoTotals io = schedir::io_totals(
+            schedir::extract_cake_ir({e.m, e.n, e.k}, s.params,
+                                     options.schedule,
+                                     s.pipelined ? schedir::Exec::kPipelined
+                                                 : schedir::Exec::kSerial,
+                                     /*use_prepacked=*/false,
+                                     /*beta_nonzero=*/false,
+                                     /*operand_bytes=*/1));
+        EXPECT_EQ(io.reads(), e.dram_read) << e.m << "x" << e.n << "x" << e.k;
+        EXPECT_EQ(io.writes(), e.dram_write)
             << e.m << "x" << e.n << "x" << e.k;
     }
 }

@@ -276,6 +276,14 @@ TEST_F(ObsTraceTest, PerfettoValidatorRejectsMalformedTraces)
         "{\"traceEvents\":[]} trailing", &error));
     EXPECT_FALSE(obs::validate_perfetto_json(
         "{\"traceEvents\":[{\"ph\":\"X\"", &error));  // truncated
+    for (const char* ts : {"-", "1e999"}) {  // not a number; not finite
+        EXPECT_FALSE(obs::validate_perfetto_json(
+            std::string("{\"traceEvents\":[{\"ph\":\"X\",\"name\":\"a\","
+                        "\"pid\":1,\"tid\":1,\"dur\":1,\"ts\":")
+                + ts + "}]}",
+            &error))
+            << ts;
+    }
     EXPECT_TRUE(obs::validate_perfetto_json("{\"traceEvents\":[]}", &error))
         << error;
 }

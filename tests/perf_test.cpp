@@ -269,6 +269,14 @@ TEST(BenchJson, ParserRejectsMalformedDocuments)
     EXPECT_FALSE(bench::parse_bench_json(
         "{\"schema\": 1, \"bench\": \"x\", \"cases\": []} trailing", &out,
         &error));
+    // A number strtod only partly consumes, and nesting deep enough to
+    // overflow the stack of an uncapped recursive parser.
+    EXPECT_FALSE(bench::parse_bench_json(
+        "{\"schema\": 1, \"bench\": \"x\", \"cases\": [{\"name\": \"c\", "
+        "\"metrics\": {\"gflops\": 1-2+e}}]}",
+        &out, &error));
+    EXPECT_FALSE(
+        bench::parse_bench_json(std::string(1000000, '['), &out, &error));
 }
 
 TEST(BenchJson, LoadDistinguishesMissingFromMalformed)

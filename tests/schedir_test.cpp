@@ -380,7 +380,7 @@ PhaseCounts traced_phase_counts(const obs::TraceDump& dump,
 template <typename Multiply>
 void expect_spans_match_ir(const char* what, Multiply&& multiply,
                            const GemmShape& shape, ScheduleKind kind,
-                           bool prepacked)
+                           bool prepacked, index_t operand_bytes)
 {
     obs::disable();
     obs::reset();
@@ -393,7 +393,8 @@ void expect_spans_match_ir(const char* what, Multiply&& multiply,
 
     const ScheduleIR ir = schedir::extract_cake_ir(
         shape, stats.params, kind,
-        stats.pipelined ? Exec::kPipelined : Exec::kSerial, prepacked);
+        stats.pipelined ? Exec::kPipelined : Exec::kSerial, prepacked,
+        /*beta_nonzero=*/false, operand_bytes);
     ASSERT_TRUE(schedir::verify_schedule_ir(ir).ok()) << what;
     for (const schedir::TileOp& op : ir.ops) {
         ASSERT_EQ(op.worker, -1) << what << ": CAKE ops are claimed items";
@@ -427,7 +428,8 @@ TEST(SpansAgainstIr, EveryExecutorInstantiationRunsTheVerifiedPhases)
                               c.data(), shape.n, shape.m, shape.n, shape.k);
                 return gemm.stats();
             },
-            shape, options.schedule, /*prepacked=*/false);
+            shape, options.schedule, /*prepacked=*/false,
+            /*operand_bytes=*/0);
     }
 
     // int8: its own kernel geometry (mr = 4, nr = 16 or 32) and 1-byte
@@ -451,7 +453,7 @@ TEST(SpansAgainstIr, EveryExecutorInstantiationRunsTheVerifiedPhases)
                                     shape.n, shape.m);
             return gemm.stats();
         },
-        shape, options.schedule, /*prepacked=*/true);
+        shape, options.schedule, /*prepacked=*/true, /*operand_bytes=*/1);
     EXPECT_EQ(gemm.stats().params.mr, best_int8_microkernel().mr);
     EXPECT_EQ(gemm.stats().params.nr, best_int8_microkernel().nr);
     for (const std::int32_t v : qc) ASSERT_EQ(v, -15 * shape.k);

@@ -215,6 +215,8 @@ TEST(TuneCache, CorruptedBytesRejectedWithCode)
         {"no_version", "{\"entries\": []}"},
         {"deep_nest", "{\"version\": 2, \"entries\": [[[[[[[[[[[[[[[[[[[[[[["
                       "[[[[[[[[[[[[[[[[[[[[[[[[[[["},
+        {"raw_control",
+         "{\"version\": 2, \"entries\": [], \"note\": \"a\x01" "b\"}"},
     };
     for (const auto& c : cases) {
         const std::string path = temp_cache_path(c.tag);

@@ -43,9 +43,8 @@
 int main()
 {
     std::cerr << "cake_perf: the perf counter layer is compiled out in "
-                 "this build (CAKE_PERF_DISABLED, CAKE_TRACE_DISABLED or a "
-                 "non-Linux host); reconfigure without those options to "
-                 "use this tool.\n";
+                 "this build (CAKE_TRACE_DISABLED or a non-Linux host); "
+                 "reconfigure without that option to use this tool.\n";
     return 2;
 }
 
