@@ -301,7 +301,7 @@ void fingerprint_float(const KernelIr& ir, const MicroKernelT<T>& kernel,
             AlignedBuffer<T> scratch(static_cast<std::size_t>(mr * nr));
             for (std::size_t e = 0; e < c.size(); ++e) c[e] = sentinel;
             run_microkernel_tile(kernel, kc, a.data(), b.data(), c.data(),
-                                 nr, m, n, /*accumulate=*/false,
+                                 nr, m, n, /*alpha=*/T(1), /*beta=*/T(0),
                                  scratch.data());
             for (index_t i = 0; i < mr && report.ok(); ++i) {
                 for (index_t j = 0; j < nr; ++j) {

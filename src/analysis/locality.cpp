@@ -255,14 +255,14 @@ IrEvents collect_ir_events(const ScheduleIR& ir)
             ev.b_stream_steps.insert(op.step);
             ++ev.b_stream_ops;
             break;
-        case OpKind::kZeroC:
-            if (op.dram_read_bytes > 0) {
-                ev.fetch_of_step[op.step] += op.dram_read_bytes;
+        case OpKind::kCompute:
+            // A revisit's first slab refetches the spilled partials; the
+            // write-back and its read-modify-write are write-side.
+            if (op.dram_reload_bytes > 0) {
+                ev.fetch_of_step[op.step] += op.dram_reload_bytes;
                 ev.reload_steps.insert(op.step);
             }
             break;
-        default:
-            break;  // compute has no DRAM traffic; flush is write-side
         }
     }
     return ev;
@@ -408,7 +408,7 @@ const char* loc_mutation_name(LocMutation m)
     case LocMutation::kTwistOrder: return "twist-order";
     case LocMutation::kSkewFetch: return "skew-fetch";
     case LocMutation::kPhantomFetch: return "phantom-fetch";
-    case LocMutation::kInflateFlush: return "inflate-flush";
+    case LocMutation::kInflateWriteback: return "inflate-writeback";
     }
     return "?";
 }
@@ -494,17 +494,18 @@ std::string apply_locality_mutation(schedir::ScheduleIR& ir, LocMutation m)
         ir.ops.push_back(std::move(phantom));
         return "LOC_STACK";
     }
-    case LocMutation::kInflateFlush: {
-        // One flush writes one extra element: io_totals' C writebacks
-        // drift from the closed form (and from memsim) by elem_bytes.
+    case LocMutation::kInflateWriteback: {
+        // One write-back writes one extra element: io_totals' C
+        // write-backs drift from the closed form (and from memsim) by
+        // elem_bytes.
         for (TileOp& op : ir.ops) {
-            if (op.kind == OpKind::kFlush && op.dram_write_bytes > 0) {
+            if (op.dram_write_bytes > 0) {
                 op.dram_write_bytes +=
                     static_cast<std::uint64_t>(ir.elem_bytes);
                 return "LOC_TRAFFIC";
             }
         }
-        throw Error("kInflateFlush: IR has no flush op");
+        throw Error("kInflateWriteback: IR has no write-back");
     }
     }
     throw Error("apply_locality_mutation: unknown mutation");

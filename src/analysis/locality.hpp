@@ -115,7 +115,7 @@ enum class LocMutation {
     kTwistOrder,    ///< swap blocks across a column boundary -> LOC_SURFACE
     kSkewFetch,     ///< move fetch bytes between two steps -> LOC_SURFACE
     kPhantomFetch,  ///< extra zero-byte B fetch event -> LOC_STACK
-    kInflateFlush,  ///< one flush writes an extra element -> LOC_TRAFFIC
+    kInflateWriteback,  ///< one write-back grows an element -> LOC_TRAFFIC
 };
 const char* loc_mutation_name(LocMutation m);
 constexpr int kLocMutationCount = 4;

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "pack/pack.hpp"
@@ -23,13 +24,14 @@ using schedir::TileSpan;
 namespace {
 
 using Col = std::pair<index_t, index_t>;  // (m, n) block column
+using GenKey = std::pair<int, index_t>;   // user-C (slot, generation)
 
-bool is_acc_span(const ScheduleIR& ir, const TileSpan& s)
+bool is_user_c_span(const ScheduleIR& ir, const TileSpan& s)
 {
     return s.buffer >= 0
         && static_cast<std::size_t>(s.buffer) < ir.buffers.size()
         && ir.buffers[static_cast<std::size_t>(s.buffer)].kind
-        == BufKind::kAccC;
+        == BufKind::kUserC;
 }
 
 void add_issue(NumericsReport& rep, const char* code, std::string message)
@@ -40,7 +42,7 @@ void add_issue(NumericsReport& rep, const char* code, std::string message)
 /// Per-column accumulation structure reconstructed from the op stream.
 struct ColumnWalk {
     std::set<index_t> kcoords;  ///< distinct K-block coordinates touched
-    std::set<index_t> gens;     ///< accumulator generations used (CAKE)
+    std::set<GenKey> gens;      ///< user-C visit generations used (CAKE)
 };
 
 /// K extent of block coordinate `kc` in a grid of `kb` blocks of width
@@ -113,28 +115,20 @@ NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
         is_goto ? (k_blk > 0 ? ceil_div(k, k_blk) : 1) : ir.kb;
 
     std::map<Col, ColumnWalk> columns;
-    std::map<index_t, std::set<Col>> gen_columns;  // CAKE: gen -> columns
-    std::set<index_t> compute_gens;                // gens that accumulated
-    std::set<index_t> closed_gens;                 // gens a flush retired
+    std::map<GenKey, std::set<Col>> gen_columns;  // CAKE: gen -> columns
+    std::set<GenKey> closed_gens;  // gens whose last slab was recorded
     for (const TileOp& op : ir.ops) {
-        if (op.kind == OpKind::kCompute) {
-            const Col col{op.block.m, op.block.n};
-            ColumnWalk& w = columns[col];
-            w.kcoords.insert(op.block.k);
-            if (!is_goto) {
-                for (const TileSpan& s : op.spans) {
-                    if (!is_acc_span(ir, s)) continue;
-                    w.gens.insert(s.gen);
-                    gen_columns[s.gen].insert(col);
-                    compute_gens.insert(s.gen);
-                }
-            }
-        } else if (op.kind == OpKind::kFlush && !is_goto) {
-            for (const TileSpan& s : op.spans) {
-                if (is_acc_span(ir, s) && s.closes_gen) {
-                    closed_gens.insert(s.gen);
-                }
-            }
+        if (op.kind != OpKind::kCompute) continue;
+        const Col col{op.block.m, op.block.n};
+        ColumnWalk& w = columns[col];
+        w.kcoords.insert(op.block.k);
+        if (is_goto) continue;
+        for (const TileSpan& s : op.spans) {
+            if (!is_user_c_span(ir, s)) continue;
+            const GenKey key{s.slot, s.gen};
+            w.gens.insert(key);
+            gen_columns[key].insert(col);
+            if (s.closes_gen) closed_gens.insert(key);
         }
     }
 
@@ -178,21 +172,17 @@ NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
         }
     }
     for (const auto& [gen, cols] : gen_columns) {
+        std::ostringstream os;
+        os << "user-C generation (slot " << gen.first << ", visit "
+           << gen.second << ")";
         if (cols.size() > 1) {
-            std::ostringstream os;
-            os << "accumulator generation " << gen << " mixes "
-               << cols.size()
-               << " distinct C columns: a column turnover (flush + zero) "
-               << "between them was dropped";
+            os << " mixes " << cols.size()
+               << " distinct C columns: a column turnover between them "
+               << "was dropped";
             add_issue(rep, "NUM_TURNOVER", os.str());
-        }
-    }
-    for (const index_t gen : compute_gens) {
-        if (closed_gens.count(gen) == 0) {
-            std::ostringstream os;
-            os << "accumulator generation " << gen
-               << " receives accumulations but no flush retires it: the "
-               << "chain's result never reaches C";
+        } else if (closed_gens.count(gen) == 0) {
+            os << " receives accumulations but no last slab closes it: "
+               << "the visit's write-back is never completed";
             add_issue(rep, "NUM_TURNOVER", os.str());
         }
     }
@@ -261,50 +251,47 @@ std::string apply_numerics_mutation(ScheduleIR& ir, NumMutation m)
         throw Error("apply_numerics_mutation: no compute op in this IR");
     }
     case NumMutation::kDropTurnover: {
-        // Merge accumulator generation G into G-1: delete the zero ops
-        // that opened G and the flushes that retired G-1, then relabel.
-        // The merged generation now spans two schedule runs (usually two
-        // distinct C columns) with no flush between them.
+        // Merge the second column visit in op order into the first: its
+        // slabs join the first visit's generation, which no longer closes
+        // before them. The merged generation now spans two schedule runs
+        // (usually two distinct C columns) with no turnover between them.
         if (ir.exec == Exec::kGoto) {
             throw Error(
                 "apply_numerics_mutation: drop-turnover needs a CAKE IR "
-                "(GOTO has no local accumulator)");
+                "(GOTO has no column visits)");
         }
-        index_t target = -1;
-        for (const TileOp& op : ir.ops) {
-            for (const TileSpan& s : op.spans) {
-                if (is_acc_span(ir, s) && s.gen >= 1
-                    && (target < 0 || s.gen < target)) {
-                    target = s.gen;
-                }
-            }
-        }
-        if (target < 0) {
-            throw Error(
-                "apply_numerics_mutation: IR has a single accumulator "
-                "generation (needs >= 2 columns)");
-        }
-        auto acc_gen_of = [&ir](const TileOp& op) -> index_t {
-            for (const TileSpan& s : op.spans) {
-                if (is_acc_span(ir, s)) return s.gen;
-            }
-            return -1;
-        };
-        std::vector<TileOp> kept;
-        kept.reserve(ir.ops.size());
-        for (TileOp& op : ir.ops) {
-            const index_t g = acc_gen_of(op);
-            if (op.kind == OpKind::kZeroC && g == target) continue;
-            if (op.kind == OpKind::kFlush && g == target - 1) continue;
+        auto user_c_of = [&ir](TileOp& op) -> TileSpan* {
+            if (op.kind != OpKind::kCompute) return nullptr;
             for (TileSpan& s : op.spans) {
-                if (is_acc_span(ir, s) && s.gen == target) {
-                    s.gen = target - 1;
-                    s.creates_gen = false;
-                }
+                if (is_user_c_span(ir, s)) return &s;
             }
-            kept.push_back(std::move(op));
+            return nullptr;
+        };
+        std::vector<GenKey> keys;  // the first two visits in op order
+        for (TileOp& op : ir.ops) {
+            const TileSpan* s = user_c_of(op);
+            if (s == nullptr) continue;
+            const GenKey key{s->slot, s->gen};
+            if (keys.empty() || keys.front() != key) keys.push_back(key);
+            if (keys.size() == 2) break;
         }
-        ir.ops = std::move(kept);
+        if (keys.size() < 2) {
+            throw Error(
+                "apply_numerics_mutation: IR has a single column visit "
+                "(needs >= 2 columns)");
+        }
+        const auto [into, target] = std::pair(keys[0], keys[1]);
+        for (TileOp& op : ir.ops) {
+            TileSpan* s = user_c_of(op);
+            if (s == nullptr) continue;
+            const GenKey key{s->slot, s->gen};
+            if (key == into) s->closes_gen = false;
+            if (key == target) {
+                s->slot = into.first;
+                s->gen = into.second;
+                s->creates_gen = false;
+            }
+        }
         return "NUM_TURNOVER";
     }
     case NumMutation::kLyingDtype: {

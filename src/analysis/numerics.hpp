@@ -6,8 +6,8 @@
 // The byte-level verifier (verify.hpp) proves WHERE data moves; this pass
 // proves HOW MUCH rounding the moves imply. It walks every C column's
 // accumulation chain as the IR records it — compute ops grouped by
-// (m, n) column, their K coordinates, and the local-accumulator
-// generations that delimit in-cache accumulation runs — and checks the
+// (m, n) column, their K coordinates, and the user-C visit generations
+// that delimit in-cache accumulation runs — and checks the
 // realised structure against what the plan's shape, blocking and schedule
 // order require:
 //
@@ -19,10 +19,10 @@
 //                 the chain was deepened or shortened, so the gamma_n
 //                 term of the bound is wrong.
 //   NUM_TURNOVER  the spill/turnover structure disagrees with the
-//                 schedule: a column's accumulator-generation count does
-//                 not match its run count in the block order, one
-//                 generation mixes two C columns, or a generation that
-//                 accumulated is never retired by a flush.
+//                 schedule: a column's visit-generation count does not
+//                 match its run count in the block order, one generation
+//                 mixes two C columns, or a generation that accumulated
+//                 is never closed by a last slab.
 //   NUM_I8_RANGE  integer path: the worst-case i32 accumulator range
 //                 k * 127 * 127 does not provably fit an int32.
 //
@@ -72,7 +72,7 @@ NumericsReport verify_numerics(const schedir::ScheduleIR& ir);
 /// Deterministic numerics corruptions, each caught by exactly one code.
 enum class NumMutation {
     kDeepenAccum,   ///< extra out-of-grid accumulation -> NUM_CHAIN
-    kDropTurnover,  ///< merge two accumulator generations -> NUM_TURNOVER
+    kDropTurnover,  ///< merge two column visits -> NUM_TURNOVER
     kLyingDtype,    ///< flip ir.elem_bytes, keep params -> NUM_DTYPE
 };
 const char* num_mutation_name(NumMutation m);

@@ -141,7 +141,6 @@ const char* phase_name(Phase phase)
     switch (phase) {
         case Phase::kPack: return "pack";
         case Phase::kCompute: return "compute";
-        case Phase::kFlush: return "flush";
         case Phase::kNone: break;
     }
     return "?";

@@ -26,9 +26,7 @@ const char* op_kind_name(OpKind kind)
     case OpKind::kPackA: return "packA";
     case OpKind::kPackB: return "packB";
     case OpKind::kStreamB: return "streamB";
-    case OpKind::kZeroC: return "zeroC";
     case OpKind::kCompute: return "compute";
-    case OpKind::kFlush: return "flush";
     }
     return "?";
 }
@@ -39,10 +37,10 @@ const char* mutation_name(Mutation m)
     case Mutation::kDropOp: return "drop-op";
     case Mutation::kDupOp: return "dup-op";
     case Mutation::kReorderAccum: return "reorder-accum";
-    case Mutation::kSeverZeroBarrier: return "sever-zero-barrier";
-    case Mutation::kSeverFlushBarrier: return "sever-flush-barrier";
+    case Mutation::kSeverColumnBarrier: return "sever-column-barrier";
+    case Mutation::kSeverPackBarrier: return "sever-pack-barrier";
     case Mutation::kShrinkGeneration: return "shrink-generation";
-    case Mutation::kDropFlush: return "drop-flush";
+    case Mutation::kDropFirstSlab: return "drop-first-slab";
     }
     return "?";
 }
@@ -55,7 +53,6 @@ constexpr int kBufUserB = 1;
 constexpr int kBufUserC = 2;
 constexpr int kBufPackA = 3;
 constexpr int kBufPackB = 4;
-constexpr int kBufAccC = 5;
 
 /// One ThreadPool::parallel_for worker chunk, mirroring the runtime's
 /// contiguous split (thread_pool.cpp): width = min(p, total), chunk =
@@ -170,8 +167,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     // (core/block_plan.cpp, core/cb_executor.cpp).
     const LoweredPlan lowered = lower_multiply(
         {.params = params, .operand_bytes = operand_bytes, .m = shape.m,
-         .n = shape.n, .k = shape.k, .ldc = shape.n,
-         .use_prepacked = use_prepacked,
+         .n = shape.n, .k = shape.k, .use_prepacked = use_prepacked,
          .beta_nonzero = beta_nonzero},
         kind, lookahead);
     const BlockPlan& plan = lowered.plan;
@@ -181,10 +177,9 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     ir.buffers = {
         {"user A", BufKind::kUserA, 1},
         {"user B", BufKind::kUserB, 1},
-        {"user C", BufKind::kUserC, 1},
+        {"user C", BufKind::kUserC, static_cast<int>(ir.mb * ir.nb)},
         {"packed A", BufKind::kPackA, pack_slots},
         {"packed B", BufKind::kPackB, pack_slots},
-        {"local C", BufKind::kAccC, 1},
     };
 
     // --- one op emitter per item kind; every op is dynamically claimed
@@ -230,40 +225,12 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         op.dram_read_bytes = static_cast<std::uint64_t>(st.ki)
             * static_cast<std::uint64_t>(st.ni) * operand;
     };
-    // One row group of the departing column recorded in `fl`'s flush_*
-    // fields, written back to user C.
-    auto emit_flush = [&](const BlockStep& fl, index_t item) {
-        const auto [r0, r1] = item_range(item, kRowGroup, fl.flush_mi);
-        const bool rmw = fl.flush_revisit || beta_nonzero;
-        const index_t um0 = fl.flush_coord.m * params.m_blk;
-        const index_t un0 = fl.flush_coord.n * params.n_blk;
-        TileOp& op = b.add_op(OpKind::kFlush, fl.step, fl.flush_coord, -1);
-        op.spans.push_back(make_span(
-            kBufAccC, 0, fl.flush_gen, Access::kRead, r0, r1, 0,
-            ceil_div(fl.flush_ni, nr), /*creates=*/false, /*closes=*/true));
-        op.spans.push_back(make_span(
-            kBufUserC, 0, 0, rmw ? Access::kReadWrite : Access::kWrite,
-            um0 + r0, um0 + r1, un0, un0 + fl.flush_ni));
-        const auto bytes = static_cast<std::uint64_t>(r1 - r0)
-            * static_cast<std::uint64_t>(fl.flush_ni) * elem;
-        op.dram_write_bytes = bytes;
-        if (rmw) op.dram_read_bytes = bytes;
-    };
-    // One row group of the fresh local C surface; the first op of a
-    // reloaded column carries the spilled-partial refetch bytes.
-    auto emit_zero = [&](const BlockStep& st, index_t item) {
-        const auto [r0, r1] = item_range(item, kRowGroup, st.mi);
-        TileOp& op = b.add_op(OpKind::kZeroC, st.step, st.coord, -1);
-        op.spans.push_back(make_span(kBufAccC, 0, st.c_gen, Access::kWrite,
-                                     r0, r1, 0, ceil_div(st.ni, nr),
-                                     /*creates=*/true));
-        if (item == 0 && st.reload) {
-            op.dram_read_bytes = static_cast<std::uint64_t>(st.mi)
-                * static_cast<std::uint64_t>(st.ni) * elem;
-        }
-    };
-    // One mr compute band: reads the packed surfaces, RMWs the local
-    // accumulator.
+    // One mr compute band: reads the packed surfaces and writes its rows
+    // of the column's user-C window (slot = column, generation = visit).
+    // The first slab of a visit creates the generation — a plain write on
+    // a column's first visit with beta == 0, a read-modify-write otherwise
+    // — and the last slab closes it, carrying the visit's write-back. The
+    // first slab of a revisit carries the spilled partials' reload.
     auto emit_compute = [&](const BlockStep& st, index_t band) {
         const index_t r0 = band * mr;
         const index_t r1 = std::min(st.mi, r0 + mr);
@@ -276,22 +243,36 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                 kBufPackB, st.b_slot, st.b_gen, Access::kRead, 0,
                 ceil_div(st.ni, nr), 0, 1));
         }
-        op.spans.push_back(make_span(kBufAccC, 0, st.c_gen,
-                                     Access::kReadWrite, r0, r1, 0,
-                                     ceil_div(st.ni, nr)));
+        const bool overwrite = st.c_change && !st.reload && !beta_nonzero;
+        op.spans.push_back(make_span(
+            kBufUserC, static_cast<int>(st.coord.m * ir.nb + st.coord.n),
+            st.c_visit, overwrite ? Access::kWrite : Access::kReadWrite,
+            st.m0 + r0, st.m0 + r1, st.n0, st.n0 + st.ni,
+            /*creates=*/st.c_change, /*closes=*/st.c_last));
+        const auto bytes = static_cast<std::uint64_t>(r1 - r0)
+            * static_cast<std::uint64_t>(st.ni) * elem;
+        if (st.reload) {
+            op.dram_reload_bytes = bytes;
+            op.dram_read_bytes += bytes;
+        }
+        if (st.c_last) {
+            op.dram_write_bytes = bytes;
+            if (st.c_visit > 0 || beta_nonzero) op.dram_read_bytes += bytes;
+        }
     };
 
+    const auto step_of = [&plan](index_t idx) -> const BlockStep& {
+        return plan.steps[static_cast<std::size_t>(idx)];
+    };
     for (const PlanPhase& ph : lowered.phases) {
         b.next_phase(ph.label);
-        const BlockStep& st = plan_step(plan, ph.step);
+        const BlockStep& st = step_of(ph.step);
         for (index_t i = 0; i < ph.pack_a; ++i) {
-            emit_pack_a(plan_step(plan, ph.pack_step), i);
+            emit_pack_a(step_of(ph.pack_step), i);
         }
         for (index_t i = 0; i < ph.pack_b; ++i) {
-            emit_pack_b(plan_step(plan, ph.pack_step), i);
+            emit_pack_b(step_of(ph.pack_step), i);
         }
-        for (index_t i = 0; i < ph.flush; ++i) emit_flush(st, i);
-        for (index_t i = 0; i < ph.zero; ++i) emit_zero(st, i);
         if (ph.compute > 0 && use_prepacked && st.b_fresh) emit_stream_b(st);
         for (index_t i = 0; i < ph.compute; ++i) emit_compute(st, i);
     }
@@ -420,13 +401,10 @@ IoTotals io_totals(const ScheduleIR& ir)
         case OpKind::kStreamB:
             t.b_read += op.dram_read_bytes;
             break;
-        case OpKind::kZeroC:
-            t.c_reload_read += op.dram_read_bytes;
-            break;
         case OpKind::kCompute:
-        case OpKind::kFlush:
             t.c_write += op.dram_write_bytes;
-            t.c_rmw_read += op.dram_read_bytes;
+            t.c_reload_read += op.dram_reload_bytes;
+            t.c_rmw_read += op.dram_read_bytes - op.dram_reload_bytes;
             break;
         }
     }
@@ -435,6 +413,20 @@ IoTotals io_totals(const ScheduleIR& ir)
 
 std::string apply_mutation(ScheduleIR& ir, Mutation m)
 {
+    // A compute op's user-C span, or nullptr.
+    auto user_c_span = [&ir](const TileOp& op) -> const TileSpan* {
+        if (op.kind != OpKind::kCompute) return nullptr;
+        for (const TileSpan& s : op.spans) {
+            if (ir.buffers[static_cast<std::size_t>(s.buffer)].kind
+                == BufKind::kUserC) {
+                return &s;
+            }
+        }
+        return nullptr;
+    };
+    auto same_gen = [](const TileSpan& x, const TileSpan& y) {
+        return x.buffer == y.buffer && x.slot == y.slot && x.gen == y.gen;
+    };
     auto find_op = [&](OpKind kind) -> std::size_t {
         for (std::size_t i = 0; i < ir.ops.size(); ++i) {
             if (ir.ops[i].kind == kind) return i;
@@ -467,37 +459,51 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         return "IR_COVER";
     }
     case Mutation::kReorderAccum: {
-        // Move an accumulation after the flush that retires its
-        // generation: the closing read no longer follows every write.
-        for (const TileOp& f : ir.ops) {
-            if (f.kind != OpKind::kFlush || f.phase + 1 >= ir.num_phases) {
+        // Move an earlier slab of a column visit past the visit's last
+        // slab: the closing write-back no longer follows every write.
+        for (const TileOp& last : ir.ops) {
+            const TileSpan* closer = user_c_span(last);
+            if (closer == nullptr || !closer->closes_gen
+                || last.phase + 1 >= ir.num_phases) {
                 continue;
             }
-            index_t gen = -1;
-            for (const TileSpan& s : f.spans) {
-                if (s.closes_gen) gen = s.gen;
-            }
-            if (gen < 0) continue;
             for (TileOp& c : ir.ops) {
-                if (c.kind != OpKind::kCompute) continue;
-                for (const TileSpan& s : c.spans) {
-                    if (s.buffer == kBufAccC && s.gen == gen) {
-                        c.phase = f.phase + 1;
-                        return "IR_ORDER";
-                    }
+                const TileSpan* s = user_c_span(c);
+                if (s != nullptr && !s->closes_gen && same_gen(*s, *closer)) {
+                    c.phase = last.phase + 1;
+                    return "IR_ORDER";
                 }
             }
         }
         throw Error(
-            "apply_mutation: no mid-schedule flush to reorder past");
+            "apply_mutation: no multi-slab column visit to reorder");
     }
-    case Mutation::kSeverZeroBarrier:
-        // Zeroing the new column races the computes accumulating into it.
-        sever_boundary("zero->main");
-        return "IR_RACE_WW";
-    case Mutation::kSeverFlushBarrier:
-        // The flush reads the surface while the last block still writes.
-        sever_boundary("main->flush");
+    case Mutation::kSeverColumnBarrier: {
+        // Two consecutive slabs of one column visit now both write the
+        // same user-C rows with no barrier between them.
+        for (const TileOp& later : ir.ops) {
+            const TileSpan* s = user_c_span(later);
+            if (s == nullptr || s->creates_gen) continue;
+            index_t prev_phase = -1;
+            for (const TileOp& c : ir.ops) {
+                const TileSpan* cs = user_c_span(c);
+                if (cs != nullptr && same_gen(*cs, *s)
+                    && c.phase < later.phase) {
+                    prev_phase = std::max(prev_phase, c.phase);
+                }
+            }
+            if (prev_phase < 0) continue;
+            for (index_t q = prev_phase; q < later.phase; ++q) {
+                ir.barrier_intact[static_cast<std::size_t>(q)] = 0;
+            }
+            return "IR_RACE_WW";
+        }
+        throw Error(
+            "apply_mutation: no multi-slab column visit to sever");
+    }
+    case Mutation::kSeverPackBarrier:
+        // The first block computes from panels its fill still writes.
+        sever_boundary("fill->main");
         return "IR_RACE_RW";
     case Mutation::kShrinkGeneration: {
         // Collapse the double buffers: pack(t+1) recycles the very slot
@@ -527,11 +533,19 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         }
         return "IR_LIFETIME";
     }
-    case Mutation::kDropFlush: {
-        // Lose a writeback: the flushed elements never reach user C.
-        const std::size_t i = find_op(OpKind::kFlush);
-        ir.ops.erase(ir.ops.begin() + static_cast<std::ptrdiff_t>(i));
-        return "IR_COVER";
+    case Mutation::kDropFirstSlab: {
+        // Lose the first slab of a column entered at a turnover (step >
+        // 0): its rows miss one accumulation and the write that discards
+        // C's old contents.
+        for (std::size_t i = 0; i < ir.ops.size(); ++i) {
+            const TileSpan* s = user_c_span(ir.ops[i]);
+            if (s != nullptr && s->creates_gen && ir.ops[i].step > 0) {
+                ir.ops.erase(ir.ops.begin()
+                             + static_cast<std::ptrdiff_t>(i));
+                return "IR_COVER";
+            }
+        }
+        throw Error("apply_mutation: IR has no column turnover");
     }
     }
     throw Error("apply_mutation: unknown mutation");

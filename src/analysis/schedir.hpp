@@ -8,7 +8,7 @@
 //     lower_block_plan (src/core/block_plan.cpp), the same phase list the
 //     CB executor interprets for every element type, including
 //     double-buffer slot assignment and the work-item grouping constants
-//     (kPackAGroup/kPackBGroup/kRowGroup).
+//     (kPackAGroup/kPackBGroup).
 //   * GOTO: build_goto_passes (src/gotoblas/goto_gemm.cpp), the same pass
 //     list GotoGemmT::multiply iterates.
 // A property proven of this IR is therefore a property of the schedule
@@ -39,14 +39,16 @@ const char* exec_name(Exec exec);
 
 /// Storage a tile operation can touch. User surfaces are element-indexed
 /// (rows x cols of the operand); pack panels are sliver-indexed (one row
-/// per mr/nr sliver); the local accumulator is row x nr-sliver indexed,
-/// matching the runtime racecheck granularity.
-enum class BufKind { kUserA, kUserB, kUserC, kPackA, kPackB, kAccC };
+/// per mr/nr sliver).
+enum class BufKind { kUserA, kUserB, kUserC, kPackA, kPackB };
 
 struct Buffer {
     std::string name;
     BufKind kind = BufKind::kUserA;
-    int slots = 1;  ///< double-buffer halves (pack panels when pipelined)
+    /// Double-buffer halves of a pack panel (2 when pipelined). CAKE's
+    /// user C has one slot per CB-block column (m * nb + n), each holding
+    /// that column's window of C.
+    int slots = 1;
 };
 
 enum class Access { kRead, kWrite, kReadWrite };
@@ -54,7 +56,9 @@ enum class Access { kRead, kWrite, kReadWrite };
 /// One rectangular read/write set of an operation: a half-open rect
 /// [r0, r1) x [c0, c1) of generation `gen` living in `slot` of `buffer`.
 /// A generation is one lifetime of the slot's contents; writing a later
-/// generation recycles the slot and destroys every earlier one.
+/// generation recycles the slot and destroys every earlier one. A CAKE
+/// user-C generation is one visit of the slot's column: its first slab
+/// creates it, its last slab closes it.
 struct TileSpan {
     int buffer = -1;  ///< index into ScheduleIR::buffers
     int slot = 0;
@@ -66,9 +70,9 @@ struct TileSpan {
 };
 
 /// What the operation does; one op is one runtime work item (a pack
-/// sliver group, an mr compute band, a flush/zero row group) or one
-/// statically assigned worker chunk (GOTO).
-enum class OpKind { kPackA, kPackB, kStreamB, kZeroC, kCompute, kFlush };
+/// sliver group, an mr compute band) or one statically assigned worker
+/// chunk (GOTO).
+enum class OpKind { kPackA, kPackB, kStreamB, kCompute };
 const char* op_kind_name(OpKind kind);
 
 struct TileOp {
@@ -80,6 +84,10 @@ struct TileOp {
     index_t seq = 0;    ///< program order within (phase, worker >= 0)
     std::uint64_t dram_read_bytes = 0;   ///< modelled external reads
     std::uint64_t dram_write_bytes = 0;  ///< modelled external writes
+    /// Of dram_read_bytes, the refetch of spilled partial C when a CAKE
+    /// column visit re-enters a column (the rest of a compute op's reads
+    /// are its write-back's read-modify-write).
+    std::uint64_t dram_reload_bytes = 0;
     std::vector<TileSpan> spans;
 };
 
@@ -115,6 +123,10 @@ struct ScheduleIR {
 /// phase list (lower_block_plan), every op dynamically claimed. kPipelined
 /// is lookahead 1 (pack(t+1)+compute(t) main phases, double-buffered pack
 /// slots); kSerial is lookahead 0 (packing in its own phases, one slot).
+/// Compute ops write user C directly. Per the §4.3 model, the last slab
+/// of each column visit carries that visit's write-back bytes (and its
+/// read-modify-write read when beta != 0 or the column was visited
+/// before); the first slab of a revisit carries the partial-C reload.
 /// `operand_bytes` is the A/B element width the pack and stream ops move
 /// (1 for int8); 0 means params.elem_bytes, which is always the C width.
 ScheduleIR extract_cake_ir(const GemmShape& shape,
@@ -139,8 +151,8 @@ ScheduleIR extract_goto_ir(const GemmShape& shape,
 struct IoTotals {
     std::uint64_t a_read = 0;         ///< user-A fetches (packing)
     std::uint64_t b_read = 0;         ///< user-B fetches (pack or stream)
-    std::uint64_t c_write = 0;        ///< flush writebacks
-    std::uint64_t c_rmw_read = 0;     ///< flush read-modify-write reads
+    std::uint64_t c_write = 0;        ///< C write-backs
+    std::uint64_t c_rmw_read = 0;     ///< write-back read-modify-write reads
     std::uint64_t c_reload_read = 0;  ///< spilled-partial reloads (CAKE)
 
     [[nodiscard]] std::uint64_t reads() const
@@ -156,20 +168,20 @@ IoTotals io_totals(const ScheduleIR& ir);
 /// verify_schedule_ir MUST report for the corrupted IR (and would never
 /// report for the clean one).
 enum class Mutation {
-    kDropOp,            ///< delete one compute op -> IR_COVER (lost update)
-    kDupOp,             ///< duplicate one compute op -> IR_COVER
-    kReorderAccum,      ///< move an accumulation past its flush -> IR_ORDER
-    kSeverZeroBarrier,  ///< zero->compute boundary -> IR_RACE_WW
-    kSeverFlushBarrier, ///< compute->flush boundary -> IR_RACE_RW
-    kShrinkGeneration,  ///< collapse double buffers to one slot -> IR_LIFETIME
-    kDropFlush,         ///< delete a flush op -> IR_COVER
+    kDropOp,              ///< delete one compute op -> IR_COVER (lost update)
+    kDupOp,               ///< duplicate one compute op -> IR_COVER
+    kReorderAccum,        ///< move a slab past its visit's last -> IR_ORDER
+    kSeverColumnBarrier,  ///< slab->slab boundary in a column -> IR_RACE_WW
+    kSeverPackBarrier,    ///< fill->compute boundary -> IR_RACE_RW
+    kShrinkGeneration,    ///< collapse double buffers to one slot -> IR_LIFETIME
+    kDropFirstSlab,       ///< drop a turnover's first-slab op -> IR_COVER
 };
 const char* mutation_name(Mutation m);
 constexpr int kMutationCount = 7;
 
 /// Corrupt `ir` in place; returns the diagnostic code the verifier must
 /// now emit. Throws cake::Error if the IR has no site for this mutation
-/// (e.g. kSeverZeroBarrier on an IR with a single column).
+/// (e.g. kSeverColumnBarrier on an IR whose every visit is one slab).
 std::string apply_mutation(ScheduleIR& ir, Mutation m);
 
 }  // namespace schedir

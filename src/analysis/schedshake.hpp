@@ -35,7 +35,6 @@ enum class Point : int {
     kPhaseClaim,   ///< about to claim a work item off the phase counter
     kPackItem,     ///< about to run a pack work item
     kComputeItem,  ///< about to run a compute work item
-    kFlushItem,    ///< about to run a flush/zero work item
 };
 
 #if CAKE_SCHEDSHAKE_ENABLED

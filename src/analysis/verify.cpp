@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -395,17 +396,12 @@ private:
 };
 
 /// IR_COVER: every user-C element receives exactly expected_accums
-/// accumulations. CAKE accumulations land in local-C generations and reach
-/// user C through the flush that closes the generation; GOTO compute ops
-/// write user C directly.
+/// accumulations. Both executors' compute ops write user C directly.
 void check_cover(const ScheduleIR& ir, VerifyReport& report)
 {
     IssueSink sink{report};
-    int acc_buf = -1, user_c = -1;
+    int user_c = -1;
     for (std::size_t i = 0; i < ir.buffers.size(); ++i) {
-        if (ir.buffers[i].kind == BufKind::kAccC) {
-            acc_buf = static_cast<int>(i);
-        }
         if (ir.buffers[i].kind == BufKind::kUserC) {
             user_c = static_cast<int>(i);
         }
@@ -414,78 +410,14 @@ void check_cover(const ScheduleIR& ir, VerifyReport& report)
         sink.add("IR_MALFORMED", "IR has no user-C buffer");
         return;
     }
-    const index_t nr = ir.params.nr > 0 ? ir.params.nr : 1;
 
     CoverMap user_map;
     user_map.add(0, ir.shape.m, 0, ir.shape.n, 0);  // pin the full domain
-
-    // Direct accumulations (GOTO): compute writes into user C.
     for (const TileOp& op : ir.ops) {
         if (op.kind != OpKind::kCompute) continue;
         for (const TileSpan& s : op.spans) {
             if (s.buffer == user_c && s.access != Access::kRead) {
                 user_map.add(s.r0, s.r1, s.c0, s.c1, 1);
-            }
-        }
-    }
-
-    if (acc_buf >= 0) {
-        // Local-C accumulations, transferred through the closing flushes.
-        struct Closer {
-            index_t fr0, fr1;  ///< local-C rows the flush op retires
-            index_t ur0, uc0;  ///< user-C destination of local row fr0
-            index_t ni;        ///< flushed column width (elements)
-        };
-        std::map<index_t, std::vector<Closer>> closers_of_gen;
-        std::map<index_t, CoverMap> accum_of_gen;
-        for (const TileOp& op : ir.ops) {
-            if (op.kind == OpKind::kFlush) {
-                Closer cl{};
-                index_t gen = -1;
-                bool have_user = false;
-                for (const TileSpan& s : op.spans) {
-                    if (s.buffer == acc_buf && s.closes_gen) {
-                        gen = s.gen;
-                        cl.fr0 = s.r0;
-                        cl.fr1 = s.r1;
-                    } else if (s.buffer == user_c) {
-                        cl.ur0 = s.r0;
-                        cl.uc0 = s.c0;
-                        cl.ni = s.c1 - s.c0;
-                        have_user = true;
-                    }
-                }
-                if (gen >= 0 && have_user) {
-                    closers_of_gen[gen].push_back(cl);
-                }
-            } else if (op.kind == OpKind::kCompute) {
-                for (const TileSpan& s : op.spans) {
-                    if (s.buffer == acc_buf
-                        && s.access == Access::kReadWrite) {
-                        // Columns are nr slivers; widths resolve at
-                        // transfer time when the flush supplies ni.
-                        accum_of_gen[s.gen].add(s.r0, s.r1, s.c0 * nr,
-                                                s.c1 * nr, 1);
-                    }
-                }
-            }
-        }
-        for (auto& [gen, gmap] : accum_of_gen) {
-            const auto it = closers_of_gen.find(gen);
-            if (it == closers_of_gen.end()) continue;  // never flushed:
-                                                       // shortfall below
-            for (const CoverMap::Cell& cell : gmap.resolve()) {
-                if (cell.count == 0) continue;
-                for (const Closer& cl : it->second) {
-                    const index_t r0 = std::max(cell.r0, cl.fr0);
-                    const index_t r1 = std::min(cell.r1, cl.fr1);
-                    if (r0 >= r1) continue;
-                    const index_t c0 = std::min(cell.c0, cl.ni);
-                    const index_t c1 = std::min(cell.c1, cl.ni);
-                    user_map.add(cl.ur0 + (r0 - cl.fr0),
-                                 cl.ur0 + (r1 - cl.fr0), cl.uc0 + c0,
-                                 cl.uc0 + c1, cell.count);
-                }
             }
         }
     }
@@ -599,11 +531,10 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
         index_t a_events = 0, b_events = 0, reload_events = 0;
         {
             index_t max_a = -1, max_b = -1;
+            std::set<index_t> reload_steps;
             for (const TileOp& op : ir.ops) {
                 if (op.kind == OpKind::kStreamB) ++b_events;
-                if (op.kind == OpKind::kZeroC && op.dram_read_bytes > 0) {
-                    ++reload_events;
-                }
+                if (op.dram_reload_bytes > 0) reload_steps.insert(op.step);
                 for (const TileSpan& s : op.spans) {
                     if (!s.creates_gen) continue;
                     if (op.kind == OpKind::kPackA) {
@@ -616,6 +547,7 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
             }
             a_events = max_a + 1;
             if (!ir.use_prepacked) b_events = max_b + 1;
+            reload_events = static_cast<index_t>(reload_steps.size());
         }
         if (a_events != traffic.a_fetches || b_events != traffic.b_fetches
             || reload_events != traffic.c_spills) {
@@ -737,7 +669,7 @@ public:
             (write ? c_write : c_read) += bytes;
             break;
         default:
-            break;  // pack_a / pack_b / c_block: on-chip staging
+            break;  // pack_a / pack_b / the modelled local C: on-chip
         }
     }
 };

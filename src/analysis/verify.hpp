@@ -9,12 +9,15 @@
 //   IR_MALFORMED   structural sanity: span indices in range, phases
 //                  monotone, barrier arrays sized to the phase count
 //   IR_COVER       exact cover — every user-C element receives exactly
-//                  `expected_accums` accumulations, delivered through
-//                  totally ordered flush chains (no lost or duplicated
-//                  update anywhere in the schedule)
-//   IR_ORDER       generation discipline — creating writes strictly
+//                  `expected_accums` accumulations from the compute ops
+//                  that write it (no lost or duplicated update anywhere
+//                  in the schedule)
+//   IR_ORDER       generation discipline — creating accesses strictly
 //                  precede every other access of their generation, and
-//                  closing reads strictly follow every write
+//                  closing accesses strictly follow every write (for
+//                  CAKE user C: a column visit's first slab comes first
+//                  and its last slab, which completes the write-back,
+//                  comes last)
 //   IR_RACE_WW     two unordered ops write an overlapping rect of the
 //                  same buffer generation
 //   IR_RACE_RW     an op reads what an unordered op writes

@@ -12,7 +12,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
 {
     CAKE_CHECK(!order.empty());
     CAKE_CHECK(in.m >= 1 && in.n >= 1 && in.k >= 1);
-    CAKE_CHECK(in.nb >= 1 && in.kb >= 1 && in.ldc >= in.n);
+    CAKE_CHECK(in.nb >= 1 && in.kb >= 1);
 
     const CbBlockParams& params = in.params;
     const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
@@ -25,47 +25,21 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     BlockPlanStats& stats = plan.stats;
 
     // Per-(m, n) column bookkeeping, evolved in schedule order: how many K
-    // blocks have accumulated, whether the column's surface already visited
-    // user memory (possible only under non-K-first ablation schedules), and
-    // which local-C lifetime last served it.
+    // blocks have accumulated and how many visits the column has had (more
+    // than one only under non-K-first ablation schedules).
     std::vector<index_t> k_done;
-    std::vector<char> flushed;
+    std::vector<index_t> visits;
     {
         index_t mb_max = 0;
         for (const BlockCoord& c : order) mb_max = std::max(mb_max, c.m + 1);
         k_done.assign(static_cast<std::size_t>(mb_max * in.nb), 0);
-        flushed.assign(static_cast<std::size_t>(mb_max * in.nb), 0);
+        visits.assign(static_cast<std::size_t>(mb_max * in.nb), 0);
     }
 
     auto block_extent = [](index_t idx, index_t blk, index_t total) {
         return std::min(blk, total - idx * blk);
     };
-    auto note_flush = [&](BlockStep& st, const BlockCoord& col, index_t mi,
-                          index_t ni, index_t gen) {
-        const std::size_t slot =
-            static_cast<std::size_t>(col.m * in.nb + col.n);
-        st.flush_coord = col;
-        st.flush_mi = mi;
-        st.flush_ni = ni;
-        st.flush_dst = col.m * params.m_blk * in.ldc + col.n * params.n_blk;
-        st.flush_gen = gen;
-        st.flush_revisit = flushed[slot] != 0;
-        st.flush_partial = k_done[slot] < in.kb;
-        flushed[slot] = 1;
-        ++stats.c_flushes;
-        const auto bytes = static_cast<std::uint64_t>(mi)
-            * static_cast<std::uint64_t>(ni) * elem;
-        stats.dram_write_bytes += bytes;
-        // First visit applies the caller's beta (RMW read iff beta != 0);
-        // revisits must accumulate, so they always read back.
-        if (st.flush_revisit || in.beta_nonzero) {
-            stats.dram_read_bytes += bytes;
-        }
-        if (st.flush_partial) ++stats.c_partial_spills;
-    };
 
-    index_t cur_mi = 0, cur_ni = 0;
-    index_t gen = -1;  // current local-C lifetime ordinal
     index_t a_gen = -1, b_gen = -1;  // packed-A / packed-B fetch ordinals
     for (index_t t = 0; t < steps; ++t) {
         BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
@@ -117,51 +91,46 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             }
         }
 
+        const auto col =
+            static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n);
+        const auto c_bytes = static_cast<std::uint64_t>(st.mi)
+            * static_cast<std::uint64_t>(st.ni) * elem;
         st.c_change = !shared.c;
         if (st.c_change) {
-            ++gen;
-            if (prev != nullptr) {
-                note_flush(st, prev->coord, cur_mi, cur_ni, gen - 1);
-            }
-            const std::size_t slot =
-                static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n);
-            st.reload = flushed[slot] != 0;
+            ++visits[col];
+            st.reload = visits[col] > 1;
             if (st.reload) {
-                // Revisiting a spilled surface: partials come back from
+                // Revisiting a spilled column: partials come back from
                 // external memory (non-K-first ablation schedules only).
-                stats.dram_read_bytes +=
-                    static_cast<std::uint64_t>(st.mi) * st.ni * elem;
+                stats.dram_read_bytes += c_bytes;
             }
-            cur_mi = st.mi;
-            cur_ni = st.ni;
         }
-        st.c_gen = gen;
+        st.c_visit = visits[col] - 1;
         if (st.pack_a) ++a_gen;
         if (st.pack_b) ++b_gen;
         st.a_gen = std::max<index_t>(a_gen, 0);
         st.b_gen = std::max<index_t>(b_gen, 0);
-        ++k_done[static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n)];
+        ++k_done[col];
         ++stats.blocks_executed;
+
+        const BlockCoord* next = t + 1 < steps
+            ? &order[static_cast<std::size_t>(t + 1)]
+            : nullptr;
+        st.c_last = next == nullptr || next->m != st.coord.m
+            || next->n != st.coord.n;
+        if (st.c_last) {
+            // The visit ends: one modelled write-back of the column. The
+            // first visit applies the caller's beta (read iff beta != 0);
+            // revisits accumulate, so they always read back.
+            ++stats.c_flushes;
+            stats.dram_write_bytes += c_bytes;
+            if (st.c_visit > 0 || in.beta_nonzero) {
+                stats.dram_read_bytes += c_bytes;
+            }
+            if (k_done[col] < in.kb) ++stats.c_partial_spills;
+        }
     }
-
-    // Final flush of the last live column.
-    const BlockStep& last = plan.steps[static_cast<std::size_t>(steps - 1)];
-    plan.final_flush.coord = last.coord;
-    plan.final_flush.step = steps;
-    plan.final_flush.mi = last.mi;
-    plan.final_flush.ni = last.ni;
-    plan.final_flush.c_gen = gen;
-    note_flush(plan.final_flush, last.coord, cur_mi, cur_ni, gen);
-    plan.c_generations = gen + 1;
     return plan;
-}
-
-const BlockStep& plan_step(const BlockPlan& plan, index_t idx)
-{
-    const auto steps = static_cast<index_t>(plan.steps.size());
-    CAKE_CHECK(idx >= 0 && idx <= steps);
-    return idx == steps ? plan.final_flush
-                        : plan.steps[static_cast<std::size_t>(idx)];
 }
 
 std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
@@ -190,20 +159,9 @@ std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
         const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
         const char* into_main = "main->main";
         if (t == 0) {
-            // Pipeline fill: pack block 0 and zero the first local C.
-            PlanPhase* fill = open("fill", t);
-            fill->zero = ceil_div(st.mi, kRowGroup);
-            add_packs(*fill, t);
+            // Pipeline fill: pack block 0.
+            add_packs(*open("fill", t), t);
             into_main = "fill->main";
-        } else if (st.c_change) {
-            // Column turnover: write the departing surface back, then
-            // reset the local surface. Two phases — the flush must read
-            // the buffer before the zero scrubs it.
-            open("main->flush", t)->flush = ceil_div(st.flush_mi, kRowGroup);
-            PlanPhase* zero = open("flush->zero", t);
-            zero->zero = ceil_div(st.mi, kRowGroup);
-            if (lookahead == 0) add_packs(*zero, t);
-            into_main = "zero->main";
         } else if (lookahead == 0 && (st.pack_a || st.pack_b)) {
             add_packs(*open("main->pack", t), t);
             into_main = "pack->main";
@@ -216,8 +174,6 @@ std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
         main->compute = ceil_div(st.mi, mr);
         if (lookahead == 1 && t + 1 < steps) add_packs(*main, t + 1);
     }
-    open("main->drain", steps)->flush =
-        ceil_div(plan.final_flush.flush_mi, kRowGroup);
     return phases;
 }
 

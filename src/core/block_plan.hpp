@@ -1,7 +1,7 @@
 // The CB-block execution plan: the per-step decisions (which surfaces to
-// fetch, which double-buffer half holds them, when the local C surface
-// turns over and what it writes back) derived once, up front, as a pure
-// function of the block schedule and the tiling parameters.
+// fetch, which double-buffer half holds them, where a C column visit
+// starts and ends) derived once, up front, as a pure function of the block
+// schedule and the tiling parameters.
 //
 // lower_block_plan then turns the plan into the barrier-delimited phase
 // list that is the only description of the block loop: the CB executor
@@ -25,12 +25,11 @@ namespace cake {
 
 // Work-item granularity of the lowered phases (executor and IR
 // extractor). Compute items stay one mr band each — the load-balancing unit
-// that keeps every core busy on edge blocks. IO items (pack slivers,
-// flush/zero rows) are grouped coarser: they are short memcpy-like bodies,
-// and per-item counter and clock overhead would otherwise be measurable.
+// that keeps every core busy on edge blocks. Pack items are grouped
+// coarser: they are short memcpy-like bodies, and per-item counter and
+// clock overhead would otherwise be measurable.
 inline constexpr index_t kPackAGroup = 4;  ///< mr slivers per pack-A item
 inline constexpr index_t kPackBGroup = 8;  ///< nr slivers per pack-B item
-inline constexpr index_t kRowGroup = 16;   ///< C rows per flush/zero item
 
 /// Half-open range [first, second) covered by work item `item` when items
 /// group `group` units out of `total`.
@@ -50,23 +49,25 @@ struct BlockStep {
     bool pack_a = false;  ///< A not shared with the previous step: fetch it
     bool pack_b = false;  ///< B not shared: pack it (never set prepacked)
     bool b_fresh = false;  ///< B surface newly streamed (pack or prepacked)
-    bool c_change = false;  ///< a new (m, n) column starts at this step
-    bool reload = false;  ///< entering column was spilled before: refetch
-    index_t c_gen = 0;  ///< ordinal of the local-C lifetime this step uses
+    // A column visit is a maximal run of steps on one (m, n) column. Its
+    // compute items write user C directly: the first slab applies the
+    // caller's beta on the column's first visit, every later slab (and
+    // every slab of a revisit) accumulates.
+    bool c_change = false;  ///< first slab of a column visit
+    bool c_last = false;    ///< last slab of the visit: the column's
+                            ///< modelled write-back (§4.3) completes here
+    bool reload = false;    ///< first slab re-enters a column visited before
+    index_t c_visit = 0;    ///< 0 on a column's first visit, 1 on the next
     index_t a_gen = 0, b_gen = 0;  ///< ordinal of the packed A / B it reads
-    // Departing-column flush, executed at entry of this step (valid when
-    // c_change && step > 0; also used for the final drain pseudo-step).
-    BlockCoord flush_coord;     ///< grid column being written back
-    index_t flush_mi = 0, flush_ni = 0;
-    index_t flush_dst = 0;       ///< element offset into user C
-    index_t flush_gen = 0;       ///< local-C lifetime being retired
-    bool flush_revisit = false;  ///< surface spilled before: beta = 1
-    bool flush_partial = false;  ///< fewer than Kb accumulations spilled
 };
 
 /// Modelled external-memory traffic and operation counts of a plan. The
 /// executors copy these into CakeStats verbatim instead of re-deriving
-/// them step by step.
+/// them step by step. C traffic follows the paper's §4.3 model: partial
+/// results stay in local memory for a whole column visit, so each visit
+/// costs one write-back (`c_flushes`), read-modify-write when beta != 0 or
+/// the column was visited before, plus a reload of the spilled partials
+/// when a visit re-enters a column.
 struct BlockPlanStats {
     index_t blocks_executed = 0;
     index_t a_packs = 0;
@@ -77,14 +78,10 @@ struct BlockPlanStats {
     std::uint64_t dram_write_bytes = 0;
 };
 
-/// The resolved plan for one multiply. `final_flush` is a pseudo-step
-/// whose flush_* fields retire the last live column (its coord/extent
-/// fields mirror the last schedule step).
+/// The resolved plan for one multiply.
 struct BlockPlan {
     std::vector<BlockStep> steps;
-    BlockStep final_flush;
     BlockPlanStats stats;
-    index_t c_generations = 0;  ///< total local-C lifetimes (column visits)
 };
 
 /// Inputs `build_block_plan` needs beyond the schedule itself. Only shape
@@ -93,54 +90,43 @@ struct BlockPlanInputs {
     CbBlockParams params;  ///< params.elem_bytes is the C (accumulator) width
     index_t operand_bytes = 0;  ///< A/B element width; 0 = params.elem_bytes
     index_t m = 0, n = 0, k = 0;
-    index_t ldc = 0;   ///< user-C leading dimension (flush destinations)
     index_t nb = 0;    ///< grid width, for (m, n) -> column-slot mapping
     index_t kb = 0;    ///< grid depth, for partial-spill detection
     bool use_prepacked = false;  ///< B streams from panels, no pack ops
-    bool beta_nonzero = false;   ///< first-visit flushes read-modify-write
+    bool beta_nonzero = false;   ///< first-visit write-backs read C
     bool double_buffer = false;  ///< alternate pack slots on fresh fetches
 };
 
 /// Derive the execution plan for `order`. Every decision the executors
-/// make per step — surface sharing, slot assignment, flush bookkeeping,
-/// DRAM traffic accounting — is resolved here, in schedule order.
+/// make per step — surface sharing, slot assignment, column visits, DRAM
+/// traffic accounting — is resolved here, in schedule order.
 BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                            const BlockPlanInputs& in);
 
 /// One barrier-delimited phase of the lowered block loop. Its work items
-/// are claimed off one counter in the order pack-A, pack-B, flush, zero,
-/// compute. Pack items serve plan step `pack_step`; flush, zero and
-/// compute items serve step `step` (index steps.size() names the
-/// final-flush pseudo-step). A flush item writes back the departing
-/// column recorded in that step's flush_* fields.
+/// are claimed off one counter in the order pack-A, pack-B, compute. Pack
+/// items serve plan step `pack_step`; compute items serve step `step`.
 struct PlanPhase {
     const char* label = "";  ///< barrier boundary entering this phase
     index_t pack_step = -1;
     index_t step = 0;
     index_t pack_a = 0, pack_b = 0;  ///< kPackAGroup / kPackBGroup items
-    index_t flush = 0, zero = 0;     ///< kRowGroup row items
     index_t compute = 0;             ///< one mr band per item
 
-    [[nodiscard]] index_t items() const
-    {
-        return pack_a + pack_b + flush + zero + compute;
-    }
+    [[nodiscard]] index_t items() const { return pack_a + pack_b + compute; }
 };
 
 /// Lower `plan` into its phase list for register tile mr x nr.
-///   lookahead 1: fill [pack 0 | zero 0]; per step, at column turnovers
-///     [flush] then [zero]; then [pack t+1 | compute t]; final [drain].
+///   lookahead 1: fill [pack 0]; then per step [pack t+1 | compute t].
 ///   lookahead 0: the overlap-off baseline — step t's packing runs in its
-///     own phase (with the zero at turnovers) before [compute t], so no
-///     phase holds both pack and compute items.
-/// Boundary labels name the two phases they separate ("main->flush",
-/// "zero->main", ...); the IR mutations sever boundaries by label.
+///     own phase before [compute t], so no phase holds both pack and
+///     compute items.
+/// Column turnovers need no phase of their own: compute items write user
+/// C directly. Boundary labels name the two phases they separate
+/// ("fill->main", "main->main", ...); the IR mutations sever boundaries.
 /// `plan` must have been built with double_buffer == (lookahead == 1).
 std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
                                         index_t nr, int lookahead);
-
-/// Plan step `idx`, or the final-flush pseudo-step when idx == steps.size().
-const BlockStep& plan_step(const BlockPlan& plan, index_t idx);
 
 /// The whole block loop of one multiply: the schedule order (§2.2: M runs
 /// outermost when M > N, so the larger B surface is reused before A), its

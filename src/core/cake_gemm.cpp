@@ -86,6 +86,16 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     }
     CAKE_CHECK(ldc >= n);
     if (m == 0 || n == 0) return;
+    const index_t elem = sizeof(T);
+    check_user_operands(
+        {.data = a, .rows = ta ? k : m, .cols = ta ? m : k, .ld = lda,
+         .elem_bytes = elem},
+        prepacked != nullptr
+            ? OperandExtent{}
+            : OperandExtent{.data = b, .rows = tb ? n : k,
+                            .cols = tb ? k : n, .ld = ldb,
+                            .elem_bytes = elem},
+        {.data = c, .rows = m, .cols = n, .ld = ldc, .elem_bytes = elem});
     if (k == 0 || alpha_s == T(0)) {
         // Degenerate product contributes nothing: apply the beta epilogue.
         for (index_t i = 0; i < m; ++i) {

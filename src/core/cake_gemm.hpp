@@ -71,8 +71,11 @@ struct CakeStats {
     index_t blocks_executed = 0;
     index_t a_packs = 0;  ///< A surfaces actually fetched (reuse skips these)
     index_t b_packs = 0;
-    index_t c_flushes = 0;       ///< C-surface writebacks (1 per (m,n) if K-first)
-    index_t c_partial_spills = 0;  ///< writebacks of *incomplete* surfaces
+    /// Modelled C write-backs: one per column visit (§4.3; 1 per (m, n)
+    /// under K-first schedules). The tile epilogue writes user C itself,
+    /// so this counts the model's DRAM write-backs, not a copy pass.
+    index_t c_flushes = 0;
+    index_t c_partial_spills = 0;  ///< write-backs of *incomplete* columns
     std::uint64_t dram_read_bytes = 0;
     std::uint64_t dram_write_bytes = 0;
 
@@ -85,7 +88,8 @@ struct CakeStats {
     // time not covered by that busy time (barrier waits, idle, dispatch).
     double pack_seconds = 0;     ///< A/B panel packing (DRAM fetch)
     double compute_seconds = 0;  ///< micro-kernel macro-loop
-    double flush_seconds = 0;    ///< C-surface writeback + local C reset
+    /// Always 0 on CAKE paths: C write-back happens inside compute.
+    double flush_seconds = 0;
     double stall_seconds = 0;    ///< barrier waits / idle / dispatch cost
     double total_seconds = 0;
 

@@ -63,6 +63,14 @@ void CakeGemmInt8::multiply_impl(const std::uint8_t* a, index_t lda,
     CAKE_CHECK(lda >= k && ldc >= n);
     if (prepacked == nullptr) CAKE_CHECK(ldb >= n);
     if (m == 0 || n == 0) return;
+    check_user_operands(
+        {.data = a, .rows = m, .cols = k, .ld = lda, .elem_bytes = 1},
+        prepacked != nullptr
+            ? OperandExtent{}
+            : OperandExtent{.data = b, .rows = k, .cols = n, .ld = ldb,
+                            .elem_bytes = 1},
+        {.data = c, .rows = m, .cols = n, .ld = ldc,
+         .elem_bytes = sizeof(std::int32_t)});
     if (k == 0) {
         if (!options_.accumulate) {
             for (index_t i = 0; i < m; ++i)

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
+#include <cstdint>
+#include <functional>
 
 #include "analysis/racecheck.hpp"
 #include "analysis/schedshake.hpp"
@@ -83,7 +84,71 @@ struct ScopedRegion {
     ~ScopedRegion() { racecheck::region_retire(id); }
 };
 
+/// Raise unless ((rows-1)*ld + cols) * elem_bytes, the bytes a stored
+/// operand spans, fits index_t.
+void check_extent_fits(const OperandExtent& x, const char* name)
+{
+    index_t elems = 0;
+    index_t bytes = 0;
+    const bool overflow = __builtin_mul_overflow(x.rows - 1, x.ld, &elems)
+        || __builtin_add_overflow(elems, x.cols, &elems)
+        || __builtin_mul_overflow(elems, x.elem_bytes, &bytes);
+    CAKE_CHECK_MSG(!overflow, name << ": (" << x.rows << " - 1) * "
+                                   << x.ld << " + " << x.cols
+                                   << " elements overflow index_t");
+}
+
+/// True if some element of operand x shares a byte with an element of y.
+/// Each operand's rows are ascending, disjoint byte intervals, so one
+/// merge-style sweep over both row lists decides it exactly: disjoint
+/// strided windows of one matrix (a trailing update's C beside its A)
+/// do not overlap.
+bool elements_overlap(const OperandExtent& x, const OperandExtent& y)
+{
+    const std::less<const unsigned char*> before;
+    const auto* xb = static_cast<const unsigned char*>(x.data);
+    const auto* yb = static_cast<const unsigned char*>(y.data);
+    index_t i = 0;
+    index_t j = 0;
+    while (i < x.rows && j < y.rows) {
+        const unsigned char* x0 = xb + i * x.ld * x.elem_bytes;
+        const unsigned char* x1 = x0 + x.cols * x.elem_bytes;
+        const unsigned char* y0 = yb + j * y.ld * y.elem_bytes;
+        const unsigned char* y1 = y0 + y.cols * y.elem_bytes;
+        if (!before(y0, x1)) {
+            ++i;  // x's row ends before y's starts
+        } else if (!before(x0, y1)) {
+            ++j;
+        } else {
+            return true;
+        }
+    }
+    return false;
+}
+
 }  // namespace
+
+void check_user_operands(const OperandExtent& a, const OperandExtent& b,
+                         const OperandExtent& c)
+{
+    const auto empty = [](const OperandExtent& x) {
+        return x.rows <= 0 || x.cols <= 0;
+    };
+    if (empty(c)) return;
+    CAKE_CHECK_MSG(c.data != nullptr, "user C is null for a non-empty product");
+    check_extent_fits(c, "user C");
+    const auto check_input = [&](const OperandExtent& x, const char* name) {
+        if (empty(x)) return;
+        CAKE_CHECK_MSG(x.data != nullptr,
+                       name << " is null for a non-empty product");
+        check_extent_fits(x, name);
+        CAKE_CHECK_MSG(!elements_overlap(x, c),
+                       "user C overlaps " << name << ": C is written while "
+                                          << name << " is still being read");
+    };
+    check_input(a, "user A");
+    check_input(b, "user B");
+}
 
 template <typename T>
 PackedB<T> CbExecutor<T>::pack_weights(ThreadPool& pool,
@@ -127,12 +192,12 @@ PackedB<T> CbExecutor<T>::pack_weights(ThreadPool& pool,
 // ---------------------------------------------------------------------------
 // The team interpreter: one persistent team walks the lowered phase list.
 // Phases are separated by spin barriers; inside a phase, work items (pack
-// sliver groups, flush/zero row groups, mr compute bands) are claimed off
-// an atomic counter so edge blocks never leave cores idle. At lookahead 1
-// the main phases carry block t+1's pack items next to block t's compute
-// items, into the other half of the double-buffered panels — packing IO
-// runs concurrently with compute instead of on the critical path (paper
-// §2, Fig. 7).
+// sliver groups, mr compute bands) are claimed off an atomic counter so
+// edge blocks never leave cores idle. Compute items write user C directly.
+// At lookahead 1 the main phases carry block t+1's pack items next to
+// block t's compute items, into the other half of the double-buffered
+// panels — packing IO runs concurrently with compute instead of on the
+// critical path (paper §2, Fig. 7).
 // ---------------------------------------------------------------------------
 template <typename T>
 void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
@@ -151,13 +216,13 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
     const bool use_prepacked = call.prepacked != nullptr;
 
     // Plan and lower (src/core/block_plan.cpp). Surface sharing, pack-slot
-    // assignment, flush bookkeeping and the modelled DRAM traffic are pure
+    // assignment, column visits and the modelled DRAM traffic are pure
     // functions of the schedule; the team below only claims and executes
     // the work items of the lowered phases.
     const LoweredPlan lowered = lower_multiply(
         {.params = params, .operand_bytes = sizeof(A), .m = call.m,
-         .n = call.n, .k = call.k, .ldc = call.ldc,
-         .use_prepacked = use_prepacked, .beta_nonzero = call.beta != C(0)},
+         .n = call.n, .k = call.k, .use_prepacked = use_prepacked,
+         .beta_nonzero = call.beta != C(0)},
         call.schedule, call.lookahead);
     const BlockPlan& plan = lowered.plan;
     const std::vector<PlanPhase>& phases = lowered.phases;
@@ -182,8 +247,6 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                 Tr::packed_k(params.k_blk) * round_up(params.n_blk, nr)));
         }
     }
-    ws.c_block.ensure(static_cast<std::size_t>(params.m_blk)
-                      * static_cast<std::size_t>(params.n_blk));
     if (ws.scratch.size() < static_cast<std::size_t>(p)) {
         ws.scratch.resize(static_cast<std::size_t>(p));
     }
@@ -191,7 +254,6 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
         s.ensure(static_cast<std::size_t>(mr * nr));
     }
 
-    C* const cb = ws.c_block.data();
     A* const pa_slots[2] = {ws.pack_a[0].data(), ws.pack_a[1].data()};
     B* const pb_slots[2] = {ws.pack_b[0].data(), ws.pack_b[1].data()};
     // Capacities for the CAKE_CHECKED extent checks in the work items
@@ -200,17 +262,17 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
     const std::size_t pb_cap = use_prepacked
         ? call.prepacked->panel_stride()
         : ws.pack_b[0].size();
-    const std::size_t cb_cap = ws.c_block.size();
     const std::size_t user_c_cap =
         static_cast<std::size_t>((call.m - 1) * call.ldc + call.n);
 
     // CAKE_RACECHECK shadow regions. Each double-buffer half is its own
     // region, so the intended pack(i+1)/compute(i) overlap on *opposite*
     // halves stays silent while any same-half access pair without a
-    // barrier edge between its phases traps. The local C surface is tiled
-    // at row x nr-sliver granularity because flush/zero row groups
-    // (kRowGroup) are not mr-aligned. All of this compiles to nothing in
-    // non-racecheck builds.
+    // barrier edge between its phases traps. The block's user-C window is
+    // tiled at mr-band x nr-sliver granularity, indexed relative to the
+    // block origin, so two slabs of one column that are not separated by
+    // a barrier trap. All of this compiles to nothing in non-racecheck
+    // builds.
     const index_t c_cols = ceil_div(params.n_blk, nr);
     ScopedRegion rc_pa0(racecheck::region_register(
         "packed-A half 0", ceil_div(params.m_blk, mr)));
@@ -221,7 +283,7 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
     ScopedRegion rc_pb1(racecheck::region_register(
         "packed-B half 1", ceil_div(params.n_blk, nr)));
     ScopedRegion rc_c(racecheck::region_register(
-        "local C surface", params.m_blk * c_cols, c_cols));
+        "user-C window", ceil_div(params.m_blk, mr) * c_cols, c_cols));
     const racecheck::RegionId rc_pa_ids[2] = {rc_pa0.id, rc_pa1.id};
     const racecheck::RegionId rc_pb_ids[2] = {rc_pb0.id, rc_pb1.id};
 
@@ -231,7 +293,7 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
     std::atomic<index_t> counters[2] = {};
     // Per-worker busy seconds; `hidden` is co-issued packing.
     struct Busy {
-        double pack = 0, compute = 0, flush = 0, hidden = 0;
+        double pack = 0, compute = 0, hidden = 0;
     };
     std::vector<Busy> busy(static_cast<std::size_t>(p));
 
@@ -271,7 +333,7 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
         // Each work item is timed ONCE with a shared Clock::now() pair that
         // feeds both the phase stats and the emitted trace span, so the
         // per-worker span totals and CakeStats phase seconds agree exactly
-        // (a second clock pair would skew short flush/zero items by its own
+        // (a second clock pair would skew short pack items by its own
         // cost). The obs push happens after the end reading — ring costs
         // stay outside both measurements.
         const bool tracing = obs::enabled();
@@ -344,7 +406,9 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                 }
             }
         };
-        // One mr row band of step st's block computation.
+        // One mr row band of step st's block computation, written straight
+        // into user C. beta applies on a column's first-ever slab; every
+        // later slab, and every slab of a revisit, accumulates.
         auto compute_item = [&](const BlockStep& st, const B* pb,
                                 index_t band) {
             const bool obs_tiles = obs::metrics_enabled();
@@ -352,6 +416,7 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
             const index_t kp = Tr::packed_k(st.ki);
             const index_t r = band * mr;
             const index_t mrows = std::min(mr, st.mi - r);
+            const C beta = st.c_change && !st.reload ? call.beta : C(1);
             {
                 const racecheck::AccessSite site{st.step, st.coord.m,
                                                  st.coord.n, st.coord.k,
@@ -364,20 +429,22 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                         racecheck::AccessKind::kRead, site);
                 }
                 racecheck::region_access_block(
-                    rc_c.id, r, r + mrows, 0, ceil_div(st.ni, nr),
+                    rc_c.id, band, band + 1, 0, ceil_div(st.ni, nr),
                     racecheck::AccessKind::kWrite, site);
             }
             require_extent(r * kp, mr * kp, pa_cap, "compute A sliver");
             const A* a_sliver = pa_slots[st.a_slot] + r * kp;
+            const index_t c_row = (st.m0 + r) * call.ldc + st.n0;
             for (index_t j = 0; j < st.ni; j += nr) {
                 const index_t ncols = std::min(nr, st.ni - j);
                 require_extent(j * kp, nr * kp, pb_cap, "compute B sliver");
-                require_extent(r * st.ni + j, (mrows - 1) * st.ni + ncols,
-                               cb_cap, "compute C tile");
+                require_extent(c_row + j, (mrows - 1) * call.ldc + ncols,
+                               user_c_cap, "compute user-C tile");
                 const std::uint64_t tile_t0 =
                     obs_tiles ? obs::now_ns() : 0;
                 Tr::tile(kernel, st.ki, a_sliver, pb + j * kp,
-                         cb + r * st.ni + j, st.ni, mrows, ncols, scratch);
+                         call.c + c_row + j, call.ldc, mrows, ncols,
+                         call.alpha, beta, scratch);
                 if (obs_tiles) {
                     obs::histogram_observe(
                         tile_latency_hist(),
@@ -385,43 +452,10 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                 }
             }
         };
-        // One group of rows of a departing column's writeback to user C.
-        auto flush_item = [&](const BlockStep& st, index_t item) {
-            schedshake::interleave_point(schedshake::Point::kFlushItem);
-            const auto [r0, r1] = item_range(item, kRowGroup, st.flush_mi);
-            racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(st.flush_ni, nr),
-                racecheck::AccessKind::kRead,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * st.flush_ni, (r1 - r0) * st.flush_ni,
-                           cb_cap, "flush source rows");
-            require_extent(st.flush_dst + r0 * call.ldc,
-                           (r1 - r0 - 1) * call.ldc + st.flush_ni,
-                           user_c_cap, "flush into user C");
-            Tr::flush(cb + r0 * st.flush_ni, r1 - r0, st.flush_ni,
-                      call.c + st.flush_dst + r0 * call.ldc, call.ldc,
-                      call.alpha, call.beta, st.flush_revisit);
-        };
-        // One group of rows of the fresh local C surface zeroed for a new
-        // column.
-        auto zero_item = [&](const BlockStep& st, index_t item) {
-            schedshake::interleave_point(schedshake::Point::kFlushItem);
-            const auto [r0, r1] = item_range(item, kRowGroup, st.mi);
-            racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(st.ni, nr),
-                racecheck::AccessKind::kWrite,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * st.ni, (r1 - r0) * st.ni, cb_cap,
-                           "zero rows");
-            std::memset(cb + r0 * st.ni, 0,
-                        static_cast<std::size_t>((r1 - r0) * st.ni)
-                            * sizeof(C));
-        };
 
         for (const PlanPhase& ph : phases) {
-            const BlockStep& st = plan_step(plan, ph.step);
+            const BlockStep& st =
+                plan.steps[static_cast<std::size_t>(ph.step)];
             const BlockStep& pk = ph.pack_step >= 0
                 ? plan.steps[static_cast<std::size_t>(ph.pack_step)]
                 : st;
@@ -454,20 +488,6 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                     return;
                 }
                 item -= ph.pack_b;
-                if (item < ph.flush) {
-                    mine.flush +=
-                        timed_item("flush.write", obs::Phase::kFlush, st,
-                                   item, [&] { flush_item(st, item); });
-                    return;
-                }
-                item -= ph.flush;
-                if (item < ph.zero) {
-                    mine.flush +=
-                        timed_item("flush.zero", obs::Phase::kFlush, st,
-                                   item, [&] { zero_item(st, item); });
-                    return;
-                }
-                item -= ph.zero;
                 mine.compute +=
                     timed_item("compute", obs::Phase::kCompute, st, item,
                                [&] { compute_item(st, pb, item); });
@@ -478,32 +498,30 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
     });
     const double team_wall = team_timer.seconds();
 
-    // CAKE_CHECKED: the multiply is flushed — every packed surface's
+    // CAKE_CHECKED: the multiply is done — every packed surface's
     // front/back canaries must still be intact, or some strided write ran
     // outside its panel. No-ops in release builds.
     ws.pack_a[0].verify_canaries("packed-A buffer[0]");
     ws.pack_a[1].verify_canaries("packed-A buffer[1]");
     ws.pack_b[0].verify_canaries("packed-B buffer[0]");
     ws.pack_b[1].verify_canaries("packed-B buffer[1]");
-    ws.c_block.verify_canaries("local C surface");
     for (const auto& s : ws.scratch) s.verify_canaries("kernel scratch tile");
     if (use_prepacked) call.prepacked->verify_canaries();
 
     // Phases overlap, so each is aggregate per-worker busy time divided
     // by p (summing phase timers around overlapped sections would
-    // double-count wall time).
+    // double-count wall time). C write-back happens inside compute, so
+    // flush_seconds stays 0.
     Busy sum;
     for (const Busy& w : busy) {
         sum.pack += w.pack;
         sum.compute += w.compute;
-        sum.flush += w.flush;
         sum.hidden += w.hidden;
     }
     stats.pack_seconds = sum.pack / p;
     stats.compute_seconds = sum.compute / p;
-    stats.flush_seconds = sum.flush / p;
     stats.stall_seconds =
-        std::max(0.0, team_wall - (sum.pack + sum.compute + sum.flush) / p);
+        std::max(0.0, team_wall - (sum.pack + sum.compute) / p);
     stats.overlap_efficiency = sum.pack > 0 ? sum.hidden / sum.pack : 0.0;
     stats.pipelined = call.lookahead == 1;
     stats.total_seconds = total.seconds();

@@ -3,7 +3,8 @@
 // builds its BlockPlan, lowers it into a phase list (core/block_plan.hpp)
 // and hands that list to a single team interpreter. Element types enter
 // only through a per-dtype traits table (kernel, packing, packed-k stride,
-// flush epilogue), in the spirit of per-dtype backend dispatch tables.
+// tile epilogue), in the spirit of per-dtype backend dispatch tables. The
+// tile epilogue is the only writer of user C: there is no local C surface.
 //
 // The only ablation knob is the lookahead: 1 packs block t+1 while block t
 // computes (double-buffered panels), 0 is the overlap-off baseline
@@ -46,26 +47,19 @@ struct CbTraits {
 
     /// Packed elements per sliver row for a block of reduction depth ki.
     static index_t packed_k(index_t ki) { return ki; }
+    /// One m x n tile of user C: c = alpha * (A * B) + beta * c.
     static void tile(const Kernel& kernel, index_t ki, const A* a,
                      const B* b, C* c, index_t ldc, index_t m, index_t n,
-                     C* scratch)
+                     C alpha, C beta, C* scratch)
     {
-        run_microkernel_tile(kernel, ki, a, b, c, ldc, m, n,
-                             /*accumulate=*/true, scratch);
-    }
-    /// Write rows of the local surface back: c = alpha * src + beta * c,
-    /// where revisits of a spilled surface always accumulate.
-    static void flush(const C* src, index_t m, index_t n, C* c, index_t ldc,
-                      C alpha, C beta, bool revisit)
-    {
-        unpack_c_block_scaled(src, m, n, c, ldc, alpha,
-                              revisit ? C(1) : beta);
+        run_microkernel_tile(kernel, ki, a, b, c, ldc, m, n, alpha, beta,
+                             scratch);
     }
 };
 
 /// Quantized backend: A u8, B s8, s32 accumulation, k grouped in quads
-/// (kernel/kernel_int8.hpp). No alpha: the flush overwrites, or
-/// accumulates when beta != 0 or the surface is revisited.
+/// (kernel/kernel_int8.hpp). No alpha, and beta is 0 (overwrite) or 1
+/// (accumulate).
 template <>
 struct CbTraits<std::int8_t> {
     using A = std::uint8_t;
@@ -89,15 +83,10 @@ struct CbTraits<std::int8_t> {
     static index_t packed_k(index_t ki) { return int8_kq(ki) * 4; }
     static void tile(const Kernel& kernel, index_t ki, const A* a,
                      const B* b, C* c, index_t ldc, index_t m, index_t n,
-                     C* scratch)
+                     C /*alpha*/, C beta, C* scratch)
     {
         run_int8_tile(kernel, int8_kq(ki), a, b, c, ldc, m, n,
-                      /*accumulate=*/true, scratch);
-    }
-    static void flush(const C* src, index_t m, index_t n, C* c, index_t ldc,
-                      C /*alpha*/, C beta, bool revisit)
-    {
-        unpack_c_block(src, m, n, c, ldc, revisit || beta != 0);
+                      /*accumulate=*/beta != 0, scratch);
     }
 };
 
@@ -122,14 +111,31 @@ struct CbCall {
 };
 
 /// Buffers a GEMM context keeps across multiplies: double-buffered packed
-/// panels, the local C surface and per-worker kernel scratch tiles.
+/// panels and per-worker kernel scratch tiles.
 template <typename T>
 struct CbWorkspace {
     AlignedBuffer<typename CbTraits<T>::A> pack_a[2];
     AlignedBuffer<typename CbTraits<T>::B> pack_b[2];
-    AlignedBuffer<typename CbTraits<T>::C> c_block;
     std::vector<AlignedBuffer<typename CbTraits<T>::C>> scratch;
 };
+
+/// Stored extent of one user operand: `rows` x `cols` elements of
+/// `elem_bytes` bytes, row-major with leading dimension `ld`.
+struct OperandExtent {
+    const void* data = nullptr;
+    index_t rows = 0, cols = 0, ld = 0;
+    index_t elem_bytes = 1;
+};
+
+/// Contract checks every CAKE entry point makes before any work starts;
+/// each violation raises cake::Error. User C is written while A and B are
+/// still being packed, so a non-empty C must be non-null, no element of C
+/// may share a byte with an element of a non-empty A or B (side-by-side
+/// windows of one matrix are fine), and (rows-1)*ld + cols must fit
+/// index_t for every operand. Pass an empty extent for an operand that
+/// does not take part (B on the pre-packed path, A and B when k == 0).
+void check_user_operands(const OperandExtent& a, const OperandExtent& b,
+                         const OperandExtent& c);
 
 /// Lookahead depth an executor selection runs at.
 constexpr int cb_lookahead(CakeExec exec)

@@ -236,7 +236,7 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
                                 kernel, kcur, span_data(a_sliver),
                                 span_data(b_sliver),
                                 c + (ic + ir) * ldc + jc + jr, ldc, mrows,
-                                ncols, acc, scratch);
+                                ncols, T(1), acc ? T(1) : T(0), scratch);
                         }
                     }
                 }

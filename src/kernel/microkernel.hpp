@@ -6,9 +6,10 @@
 //   * B_panel is packed row-major by k-step:    b[p*nr + j] = B(p, j)
 //   * C is an mr x nr tile inside a row-major matrix with leading dim ldc.
 //
-// Full tiles hit the SIMD kernels; partial edge tiles are computed into an
-// aligned scratch tile and copied out (see run_microkernel_tile). Kernels
-// exist for float (sgemm) and double (dgemm) at every ISA level.
+// Full tiles hit the SIMD kernels directly on C; partial edge tiles, and
+// any alpha/beta epilogue the kernels cannot express, are computed into an
+// aligned scratch tile first (see run_microkernel_tile). Kernels exist for
+// float (sgemm) and double (dgemm) at every ISA level.
 #pragma once
 
 #include "common/checked.hpp"
@@ -52,13 +53,16 @@ MicroKernel avx512_microkernel();
 MicroKernelD avx512_microkernel_f64();
 #endif
 
-/// Run a (possibly partial) m x n tile, m <= mr, n <= nr, with depth `kc`:
-/// full tiles call the kernel directly; edges go through a scratch tile.
-/// `scratch` must hold at least mr*nr elements, 64-byte aligned.
+/// Run a (possibly partial) m x n tile, m <= mr, n <= nr, with depth `kc`,
+/// storing c = alpha * (A_panel * B_panel) + beta * c. Full tiles with
+/// alpha == 1 and beta in {0, 1} call the kernel on C directly; every other
+/// tile is computed into `scratch` and combined from there. beta == 0
+/// never reads C, so C may hold garbage or NaN. `scratch` must hold at
+/// least mr*nr elements, 64-byte aligned.
 template <typename T>
 void run_microkernel_tile(const MicroKernelT<T>& k, index_t kc, const T* a,
                           const T* b, T* c, index_t ldc, index_t m, index_t n,
-                          bool accumulate, T* scratch)
+                          T alpha, T beta, T* scratch)
 {
 #if CAKE_CHECKED_ENABLED
     // Kernel dispatch boundary: validate the operand contract the SIMD
@@ -84,22 +88,24 @@ void run_microkernel_tile(const MicroKernelT<T>& k, index_t kc, const T* a,
         }
     }
 #endif
-    if (m == k.mr && n == k.nr) {
-        k.fn(kc, a, b, c, ldc, accumulate);
+    if (m == k.mr && n == k.nr && alpha == T(1)
+        && (beta == T(0) || beta == T(1))) {
+        k.fn(kc, a, b, c, ldc, /*accumulate=*/beta != T(0));
         return;
     }
-    // Edge tile: compute the full mr x nr tile into scratch (packed panels
-    // are zero-padded, so the extra rows/cols are zero), then copy the live
-    // m x n region.
+    // Compute the full mr x nr tile into scratch (packed panels are
+    // zero-padded, so an edge tile's extra rows/cols are zero), then
+    // combine the live m x n region into C.
     k.fn(kc, a, b, scratch, k.nr, /*accumulate=*/false);
-    if (accumulate) {
+    if (beta == T(0)) {
         for (index_t i = 0; i < m; ++i)
             for (index_t j = 0; j < n; ++j)
-                c[i * ldc + j] += scratch[i * k.nr + j];
+                c[i * ldc + j] = alpha * scratch[i * k.nr + j];
     } else {
         for (index_t i = 0; i < m; ++i)
             for (index_t j = 0; j < n; ++j)
-                c[i * ldc + j] = scratch[i * k.nr + j];
+                c[i * ldc + j] =
+                    alpha * scratch[i * k.nr + j] + beta * c[i * ldc + j];
     }
 }
 

@@ -23,7 +23,6 @@ std::vector<ScheduleTrafficRow> schedule_traffic_table(
     in.m = shape.m;
     in.n = shape.n;
     in.k = shape.k;
-    in.ldc = shape.n;
     in.nb = grid(shape.n, params.n_blk);
     in.kb = grid(shape.k, params.k_blk);
     const index_t mb = grid(shape.m, params.m_blk);

@@ -222,7 +222,6 @@ double ProfileReport::phase_total_s(Phase phase) const
         switch (phase) {
             case Phase::kPack: total += w.pack_s; break;
             case Phase::kCompute: total += w.compute_s; break;
-            case Phase::kFlush: total += w.flush_s; break;
             case Phase::kBarrier: total += w.barrier_s; break;
             case Phase::kOther: total += w.other_s; break;
             case Phase::kNone: break;
@@ -254,7 +253,6 @@ ProfileReport profile(const TraceDump& dump)
             switch (ev.phase) {
                 case Phase::kPack: w.pack_s += dur_s; break;
                 case Phase::kCompute: w.compute_s += dur_s; break;
-                case Phase::kFlush: w.flush_s += dur_s; break;
                 case Phase::kBarrier: w.barrier_s += dur_s; break;
                 default: w.other_s += dur_s; break;
             }
@@ -295,8 +293,7 @@ namespace {
 
 /// Phases worth a row in the counter tables, in pipeline order.
 constexpr Phase kTablePhases[] = {Phase::kPack, Phase::kCompute,
-                                  Phase::kFlush, Phase::kBarrier,
-                                  Phase::kOther};
+                                  Phase::kBarrier, Phase::kOther};
 
 std::vector<std::string> perf_header(const perf::PerfDump& dump,
                                      const std::string& first)
@@ -407,13 +404,12 @@ Table operating_point_table(const ProfileReport& report, double flops,
 
 Table worker_table(const ProfileReport& report)
 {
-    Table table({"worker", "pack_s", "compute_s", "flush_s", "barrier_s",
-                 "other_s", "events"});
+    Table table({"worker", "pack_s", "compute_s", "barrier_s", "other_s",
+                 "events"});
     for (const WorkerProfile& w : report.workers) {
         table.add_row({w.worker >= 0 ? std::to_string(w.worker) : "-",
                        format_number(w.pack_s, 6),
                        format_number(w.compute_s, 6),
-                       format_number(w.flush_s, 6),
                        format_number(w.barrier_s, 6),
                        format_number(w.other_s, 6),
                        std::to_string(w.events)});
@@ -476,10 +472,10 @@ std::string overlap_timeline(const TraceDump& dump, int columns)
     os << "timeline (" << format_number(static_cast<double>(t1 - t0) * 1e-6,
                                         4)
        << " ms, " << columns
-       << " slices; P=pack C=compute F=flush b=barrier o=other .=idle)\n";
+       << " slices; P=pack C=compute b=barrier o=other .=idle)\n";
     for (const auto& [lane, events] : lanes) {
         // Dominant phase per slice by accumulated overlap time.
-        std::vector<std::array<double, 6>> weight(
+        std::vector<std::array<double, perf::kPhaseCount>> weight(
             static_cast<std::size_t>(columns));
         for (const TraceEvent* ev : events) {
             const double begin = static_cast<double>(ev->start_ns - t0);
@@ -503,7 +499,8 @@ std::string overlap_timeline(const TraceDump& dump, int columns)
             const auto& w = weight[static_cast<std::size_t>(s)];
             double best = 0;
             int best_phase = -1;
-            for (int ph = 0; ph < 6; ++ph) {
+            for (int ph = 0; ph < static_cast<int>(perf::kPhaseCount);
+                 ++ph) {
                 if (w[static_cast<std::size_t>(ph)] > best) {
                     best = w[static_cast<std::size_t>(ph)];
                     best_phase = ph;
@@ -512,7 +509,6 @@ std::string overlap_timeline(const TraceDump& dump, int columns)
             switch (best_phase) {
                 case static_cast<int>(Phase::kPack): row += 'P'; break;
                 case static_cast<int>(Phase::kCompute): row += 'C'; break;
-                case static_cast<int>(Phase::kFlush): row += 'F'; break;
                 case static_cast<int>(Phase::kBarrier): row += 'b'; break;
                 case static_cast<int>(Phase::kOther):
                 case static_cast<int>(Phase::kNone): row += 'o'; break;

@@ -64,14 +64,13 @@ struct WorkerProfile {
     std::int32_t worker = -1;  ///< team tid; -1 = outside any team job
     double pack_s = 0;
     double compute_s = 0;
-    double flush_s = 0;
     double barrier_s = 0;  ///< stall: SpinBarrier waits
     double other_s = 0;
     std::uint64_t events = 0;
 
     [[nodiscard]] double busy_s() const
     {
-        return pack_s + compute_s + flush_s + other_s;
+        return pack_s + compute_s + other_s;
     }
 };
 
@@ -111,7 +110,7 @@ struct ProfileReport {
 /// accumulators into `.perf` — call profile() BEFORE perf::disable().
 ProfileReport profile(const TraceDump& dump);
 
-/// worker | pack_s | compute_s | flush_s | barrier_s | other_s | events
+/// worker | pack_s | compute_s | barrier_s | other_s | events
 Table worker_table(const ProfileReport& report);
 
 /// span | phase | count | total_s | mean_ns | max_ns (top `top_n`).
@@ -123,7 +122,7 @@ Table stall_table(const ProfileReport& report);
 
 /// ASCII overlap timeline, one row per worker lane, `columns` time slices
 /// wide. Each cell shows the dominant phase in its slice: P=pack,
-/// C=compute, F=flush, b=barrier-wait, o=other, '.'=idle.
+/// C=compute, b=barrier-wait, o=other, '.'=idle.
 std::string overlap_timeline(const TraceDump& dump, int columns = 72);
 
 /// Per-phase hardware-counter columns (summed over workers): phase |

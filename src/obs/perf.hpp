@@ -55,7 +55,7 @@ namespace obs {
 namespace perf {
 
 /// Number of Phase enumerators (kNone..kOther) — accumulator array size.
-inline constexpr std::size_t kPhaseCount = 6;
+inline constexpr std::size_t kPhaseCount = 5;
 
 /// Upper bound on counters per group. Grouped events must co-schedule on
 /// one PMU, which tops out well below this on every CPU we target.

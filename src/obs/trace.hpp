@@ -60,8 +60,7 @@ namespace obs {
 enum class Phase : std::uint8_t {
     kNone = 0,
     kPack,     ///< A/B panel packing (the DRAM fetch of a surface)
-    kCompute,  ///< micro-kernel macro-loop work
-    kFlush,    ///< local-C writeback / zeroing
+    kCompute,  ///< micro-kernel macro-loop work (writes user C too)
     kBarrier,  ///< SpinBarrier wait (per-worker stall attribution)
     kOther,    ///< anything else (tool-defined)
 };
@@ -73,7 +72,6 @@ constexpr const char* phase_name(Phase phase) noexcept
         case Phase::kNone: return "none";
         case Phase::kPack: return "pack";
         case Phase::kCompute: return "compute";
-        case Phase::kFlush: return "flush";
         case Phase::kBarrier: return "barrier";
         case Phase::kOther: return "other";
     }

@@ -3,7 +3,9 @@
 // worker-count variants, and stats invariants.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/fperror.hpp"
 #include "ref/naive_gemm.hpp"
 
 namespace cake {
@@ -502,6 +505,164 @@ TEST(CakeGemm, ForcedScalarIsaMatches)
     options.mc = microkernel_for(Isa::kScalar).mr * 3;
     const Matrix c = cake_gemm(a, b, test_pool(), options);
     EXPECT_LE(max_abs_diff(c, oracle_gemm(a, b)), gemm_tolerance(40));
+}
+
+
+// ---------------------------------------------------------------------------
+// Tile epilogue. Compute items write user C directly: full tiles with
+// alpha == 1 and an effective beta in {0, 1} run the kernel on C, every
+// other tile goes through the scratch tile. Each (alpha, beta) pair must
+// land within the plan's static error bound of the reference, must never
+// read C when beta == 0 (C is pre-filled with NaN), and serial and
+// pipelined must agree bit for bit. kNInnermost revisits every column, so
+// its revisit slabs accumulate whatever the caller's beta.
+
+TEST(CakeEpilogue, AlphaBetaMatrixWithinBoundAndBitExact)
+{
+    const index_t mr = best_microkernel().mr;
+    const index_t nr = best_microkernel().nr;
+    struct Shape {
+        index_t m, n, k;
+        const char* what;
+    };
+    // Blocks of 3 x 2 register tiles and kc 24: several column visits,
+    // three K slabs; the second shape's ragged edges give edge tiles.
+    const Shape shapes[] = {{mr * 6, nr * 4, 70, "full tiles"},
+                            {mr * 5 + 3, nr * 3 + 5, 53, "edge tiles"}};
+    std::uint64_t seed = 900;
+    for (const ScheduleKind kind :
+         {ScheduleKind::kKFirstSerpentine, ScheduleKind::kNInnermost}) {
+        for (const Shape& sh : shapes) {
+            for (const float alpha : {1.0f, 2.0f}) {
+                for (const float beta : {0.0f, 1.0f, 0.5f}) {
+                    Rng rng(++seed);
+                    Matrix a(sh.m, sh.k);
+                    Matrix b(sh.k, sh.n);
+                    Matrix c0(sh.m, sh.n);
+                    a.fill_random(rng);
+                    b.fill_random(rng);
+                    c0.fill_random(rng);
+                    if (beta == 0.0f) c0.fill(std::nanf(""));
+
+                    CakeOptions options;
+                    options.mc = mr * 3;
+                    options.nc = nr * 2;
+                    options.kc = 24;
+                    options.schedule = kind;
+                    Matrix c[2] = {Matrix(sh.m, sh.n), Matrix(sh.m, sh.n)};
+                    CakeStats stats;
+                    for (int i = 0; i < 2; ++i) {
+                        std::memcpy(c[i].data(), c0.data(),
+                                    static_cast<std::size_t>(sh.m) * sh.n
+                                        * sizeof(float));
+                        options.exec = i == 0 ? CakeExec::kSerial
+                                              : CakeExec::kPipelined;
+                        CakeGemm gemm(test_pool(), options);
+                        gemm.multiply_scaled(a.data(), sh.k, b.data(), sh.n,
+                                             c[i].data(), sh.n, sh.m, sh.n,
+                                             sh.k, alpha, beta);
+                        stats = gemm.stats();
+                    }
+                    const std::string what = std::string(sh.what) + " "
+                        + schedule_kind_name(kind) + " alpha="
+                        + std::to_string(alpha)
+                        + " beta=" + std::to_string(beta);
+                    ASSERT_GT(stats.grid_kb, 1) << what;
+                    EXPECT_EQ(std::memcmp(c[0].data(), c[1].data(),
+                                          static_cast<std::size_t>(sh.m)
+                                              * sh.n * sizeof(float)),
+                              0)
+                        << what << ": serial and pipelined differ";
+
+                    const double bound =
+                        plan_error_bound({sh.m, sh.n, sh.k}, stats.params,
+                                         kind, dtype_f32(), beta != 0.0f)
+                            .rel_bound;
+                    for (index_t i = 0; i < sh.m; ++i) {
+                        for (index_t j = 0; j < sh.n; ++j) {
+                            double ref = 0.0, mag = 0.0;
+                            for (index_t p = 0; p < sh.k; ++p) {
+                                const double x =
+                                    static_cast<double>(a.at(i, p))
+                                    * b.at(p, j);
+                                ref += x;
+                                mag += std::abs(x);
+                            }
+                            ref *= alpha;
+                            mag *= std::abs(alpha);
+                            if (beta != 0.0f) {
+                                ref += static_cast<double>(beta)
+                                    * c0.at(i, j);
+                                mag += std::abs(static_cast<double>(beta)
+                                                * c0.at(i, j));
+                            }
+                            const double err =
+                                std::abs(c[0].at(i, j) - ref);
+                            ASSERT_LE(err, bound * mag)
+                                << what << " at (" << i << ", " << j
+                                << "): got " << c[0].at(i, j) << ", want "
+                                << ref;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Contract checks: user C is written while A and B are still being packed,
+// so aliasing, null operands and an overflowing C extent are rejected
+// before any work starts.
+
+TEST(CakeContract, NullOperandsRejected)
+{
+    std::vector<float> a(12, 1.0f), b(12, 1.0f), c(9, 0.0f);
+    CakeGemm gemm(test_pool(), tiny_block_options());
+    EXPECT_THROW(gemm.multiply(nullptr, 4, b.data(), 3, c.data(), 3, 3, 3, 4),
+                 Error);
+    EXPECT_THROW(gemm.multiply(a.data(), 4, nullptr, 3, c.data(), 3, 3, 3, 4),
+                 Error);
+    EXPECT_THROW(gemm.multiply(a.data(), 4, b.data(), 3, nullptr, 3, 3, 3, 4),
+                 Error);
+    // An empty product touches nothing, so null operands are fine there.
+    EXPECT_NO_THROW(gemm.multiply(nullptr, 4, nullptr, 3, nullptr, 3, 0, 3, 4));
+}
+
+TEST(CakeContract, UserCOverlappingAOrBRejected)
+{
+    std::vector<float> buf(64, 1.0f);
+    CakeGemm gemm(test_pool(), tiny_block_options());
+    // C's last element is A's first.
+    EXPECT_THROW(gemm.multiply(buf.data() + 15, 4, buf.data() + 40, 4,
+                               buf.data(), 4, 4, 4, 4),
+                 Error);
+    // C starts inside B.
+    EXPECT_THROW(gemm.multiply(buf.data(), 4, buf.data() + 16, 4,
+                               buf.data() + 20, 4, 4, 4, 4),
+                 Error);
+    // Disjoint ranges in one allocation are fine.
+    EXPECT_NO_THROW(gemm.multiply(buf.data(), 4, buf.data() + 16, 4,
+                                  buf.data() + 32, 4, 4, 4, 4));
+    // So are side-by-side column windows of one 8 x 8 matrix, as in a
+    // blocked trailing update: their byte ranges interleave, their
+    // elements do not.
+    std::vector<float> mat(64, 1.0f), b(16, 1.0f);
+    EXPECT_NO_THROW(gemm.multiply(mat.data(), 8, b.data(), 4,
+                                  mat.data() + 4, 8, 8, 4, 4));
+    EXPECT_THROW(gemm.multiply(mat.data(), 8, b.data(), 4, mat.data() + 3,
+                               8, 8, 4, 4),
+                 Error);
+}
+
+TEST(CakeContract, OverflowingCExtentRejected)
+{
+    std::vector<float> a(8, 1.0f), b(8, 1.0f), c(8, 0.0f);
+    CakeGemm gemm(test_pool(), tiny_block_options());
+    const index_t huge_ldc = std::numeric_limits<index_t>::max() / 2;
+    EXPECT_THROW(gemm.multiply(a.data(), 2, b.data(), 2, c.data(), huge_ldc,
+                               4, 2, 2),
+                 Error);
 }
 
 }  // namespace

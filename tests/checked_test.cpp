@@ -161,12 +161,12 @@ TEST(CheckedTest, MisalignedScratchTileTraps)
         static_cast<std::size_t>(k.mr * k.nr) + 16, true);
     // Aligned scratch: runs clean (edge tile m = mr - 1 forces its use).
     EXPECT_NO_THROW(run_microkernel_tile(k, kc, a.data(), b.data(), c.data(),
-                                         k.nr, k.mr - 1, k.nr, false,
+                                         k.nr, k.mr - 1, k.nr, 1.0f, 0.0f,
                                          scratch.data()));
     // Knock the scratch pointer off 64-byte alignment by one element.
     const std::string msg = trap_message([&] {
         run_microkernel_tile(k, kc, a.data(), b.data(), c.data(), k.nr,
-                             k.mr - 1, k.nr, false, scratch.data() + 1);
+                             k.mr - 1, k.nr, 1.0f, 0.0f, scratch.data() + 1);
     });
     EXPECT_NE(msg.find("misaligned"), std::string::npos) << msg;
     EXPECT_NE(msg.find("scratch"), std::string::npos) << msg;
@@ -183,14 +183,14 @@ TEST(CheckedTest, BadCTileGeometryTraps)
     AlignedBuffer<float> scratch(static_cast<std::size_t>(k.mr * k.nr), true);
     // ldc smaller than the tile width: rows would overlap.
     EXPECT_THROW(run_microkernel_tile(k, kc, a.data(), b.data(), c.data(),
-                                      k.nr - 1, k.mr, k.nr, false,
+                                      k.nr - 1, k.mr, k.nr, 1.0f, 0.0f,
                                       scratch.data()),
                  CheckedError);
     // Null packed operand.
     EXPECT_THROW(run_microkernel_tile(k, kc,
                                       static_cast<const float*>(nullptr),
                                       b.data(), c.data(), k.nr, k.mr, k.nr,
-                                      false, scratch.data()),
+                                      1.0f, 0.0f, scratch.data()),
                  CheckedError);
 }
 

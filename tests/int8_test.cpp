@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -498,6 +499,110 @@ TEST(Quant, EndToEndQgemmApproximatesFloatGemm)
     EXPECT_LE(max_rel_diff(approx, exact, /*abs_floor=*/1.0), 0.10);
     // And it must be a real approximation, not garbage.
     EXPECT_GT(max_rel_diff(approx, exact, 1.0), 1e-6);
+}
+
+
+// The int8 tile epilogue writes user C directly: beta is 0 (overwrite,
+// C's old contents never read) or 1 (accumulate). Multi-slab column
+// visits, revisits (kNInnermost) and edge tiles must all stay exact, and
+// serial and pipelined must agree bit for bit.
+TEST(Int8Gemm, EpilogueMatrixExactAndBitExact)
+{
+    const Int8MicroKernel& kernel = best_int8_microkernel();
+    const index_t mr = kernel.mr;
+    const index_t nr = kernel.nr;
+    struct Shape {
+        index_t m, n, k;
+    };
+    const Shape shapes[] = {{mr * 6, nr * 4, 70},
+                            {mr * 5 + 3, nr * 3 + 5, 53}};
+    std::uint64_t seed = 950;
+    for (const ScheduleKind kind :
+         {ScheduleKind::kKFirstSerpentine, ScheduleKind::kNInnermost}) {
+        for (const Shape& sh : shapes) {
+            for (const bool accumulate : {false, true}) {
+                Rng rng(++seed);
+                std::vector<std::uint8_t> a(
+                    static_cast<std::size_t>(sh.m * sh.k));
+                std::vector<std::int8_t> b(
+                    static_cast<std::size_t>(sh.k * sh.n));
+                fill_random_u8(a, rng);
+                fill_random_s8(b, rng);
+                std::vector<std::int32_t> c0(
+                    static_cast<std::size_t>(sh.m * sh.n));
+                for (auto& x : c0) {
+                    x = static_cast<std::int32_t>(rng.next_below(2001))
+                        - 1000;
+                }
+                const auto oracle = int_oracle(a, b, sh.m, sh.n, sh.k);
+
+                CakeOptions options;
+                options.mc = mr * 3;
+                options.nc = nr * 2;
+                options.kc = 24;
+                options.schedule = kind;
+                options.accumulate = accumulate;
+                std::vector<std::int32_t> c[2] = {c0, c0};
+                for (int i = 0; i < 2; ++i) {
+                    options.exec =
+                        i == 0 ? CakeExec::kSerial : CakeExec::kPipelined;
+                    CakeGemmInt8 gemm(test_pool(), options);
+                    gemm.multiply(a.data(), sh.k, b.data(), sh.n,
+                                  c[i].data(), sh.n, sh.m, sh.n, sh.k);
+                    ASSERT_GT(gemm.stats().grid_kb, 1);
+                }
+                EXPECT_EQ(c[0], c[1])
+                    << schedule_kind_name(kind) << " m=" << sh.m
+                    << " accumulate=" << accumulate
+                    << ": serial and pipelined differ";
+                for (std::size_t i = 0; i < c0.size(); ++i) {
+                    const std::int64_t want =
+                        oracle[i] + (accumulate ? c0[i] : 0);
+                    ASSERT_EQ(static_cast<std::int64_t>(c[0][i]), want)
+                        << schedule_kind_name(kind) << " m=" << sh.m
+                        << " accumulate=" << accumulate << " idx=" << i;
+                }
+            }
+        }
+    }
+}
+
+// Contract checks shared with the float path: null operands, user C
+// overlapping A or B, and an overflowing C extent raise cake::Error.
+TEST(Int8Gemm, ContractViolationsRejected)
+{
+    std::vector<std::uint8_t> a(16, 1);
+    std::vector<std::int8_t> b(16, 1);
+    std::vector<std::int32_t> c(16, 0);
+    CakeGemmInt8 gemm(test_pool(), CakeOptions{});
+    EXPECT_THROW(gemm.multiply(nullptr, 4, b.data(), 4, c.data(), 4, 4, 4, 4),
+                 Error);
+    EXPECT_THROW(gemm.multiply(a.data(), 4, nullptr, 4, c.data(), 4, 4, 4, 4),
+                 Error);
+    EXPECT_THROW(gemm.multiply(a.data(), 4, b.data(), 4, nullptr, 4, 4, 4, 4),
+                 Error);
+    // An int32 2 x 2 C (ldc 4) over u8 A / s8 B bytes of one allocation:
+    // C's rows are bytes [0, 8) and [16, 24). A's first row at [4, 8) and
+    // B's first row at [4, 6) land inside C; an A at [8, 16), between
+    // C's rows, does not.
+    std::vector<std::int32_t> shared(16, 0);
+    auto* bytes = static_cast<std::uint8_t*>(static_cast<void*>(shared.data()));
+    EXPECT_THROW(gemm.multiply(bytes + 4, 4, b.data(), 4, shared.data(), 4,
+                               2, 2, 4),
+                 Error);
+    EXPECT_THROW(gemm.multiply(a.data(), 4,
+                               static_cast<std::int8_t*>(
+                                   static_cast<void*>(bytes + 4)),
+                               4, shared.data(), 4, 2, 2, 4),
+                 Error);
+    EXPECT_NO_THROW(gemm.multiply(bytes + 8, 4, b.data(), 4, shared.data(),
+                                  4, 2, 2, 4));
+    const index_t huge_ldc = std::numeric_limits<index_t>::max() / 2;
+    EXPECT_THROW(gemm.multiply(a.data(), 4, b.data(), 4, c.data(), huge_ldc,
+                               4, 2, 4),
+                 Error);
+    EXPECT_NO_THROW(gemm.multiply(a.data(), 4, b.data(), 4, c.data(), 4, 4,
+                                  4, 4));
 }
 
 }  // namespace

@@ -125,7 +125,8 @@ TEST(KernelEdge, PartialTilesMatchOracle)
             for (index_t i = 0; i < m * n; ++i)
                 c[static_cast<std::size_t>(i)] = 0.0f;
             run_microkernel_tile(k, kc, a.data(), b.data(), c.data(), n, m, n,
-                                 /*accumulate=*/false, scratch.data());
+                                 /*alpha=*/1.0f, /*beta=*/0.0f,
+                                 scratch.data());
 
             const auto oracle = oracle_tile(a.data(), b.data(), k.mr, k.nr, kc);
             const double tol = gemm_tolerance(kc);

@@ -150,7 +150,7 @@ TEST(Locality, EveryMutationRejectedWithItsCode)
         LocMutation::kTwistOrder,
         LocMutation::kSkewFetch,
         LocMutation::kPhantomFetch,
-        LocMutation::kInflateFlush,
+        LocMutation::kInflateWriteback,
     };
     for (const Exec exec : {Exec::kSerial, Exec::kPipelined}) {
         for (const LocMutation m : all) {
@@ -169,7 +169,7 @@ TEST(Locality, EveryMutationRejectedWithItsCode)
 
 TEST(Locality, MutationIsolationKeepsOtherCodesClean)
 {
-    // The byte-skew and flush-inflation corruptions must be caught by
+    // The byte-skew and write-back-inflation corruptions must be caught by
     // their own check alone — proof the three obligations are independent
     // mechanisms, not one comparison wearing three codes.
     {
@@ -193,7 +193,7 @@ TEST(Locality, MutationIsolationKeepsOtherCodesClean)
     {
         ScheduleIR ir =
             subject_ir(ScheduleKind::kKFirstSerpentine, Exec::kPipelined);
-        locality::apply_locality_mutation(ir, LocMutation::kInflateFlush);
+        locality::apply_locality_mutation(ir, LocMutation::kInflateWriteback);
         const LocalityReport rep = locality::analyze_locality(ir);
         EXPECT_TRUE(rep.has("LOC_TRAFFIC"));
         EXPECT_FALSE(rep.has("LOC_SURFACE"));

@@ -113,14 +113,14 @@ TEST(PerfRuntime, PerPhaseDeltasAcrossRunTeam)
             w.phase[static_cast<std::size_t>(obs::Phase::kPack)];
         const perf::CounterSet& compute =
             w.phase[static_cast<std::size_t>(obs::Phase::kCompute)];
-        const perf::CounterSet& flush =
-            w.phase[static_cast<std::size_t>(obs::Phase::kFlush)];
+        const perf::CounterSet& other =
+            w.phase[static_cast<std::size_t>(obs::Phase::kOther)];
         ASSERT_TRUE(pack.available[slot]);
         ASSERT_TRUE(compute.available[slot]);
         EXPECT_GT(pack.value[slot], 0u);
         EXPECT_GT(compute.value[slot], 0u);
-        // Nothing scoped kFlush, so nothing may be attributed to it.
-        EXPECT_EQ(flush.value[slot], 0u);
+        // Nothing scoped kOther, so nothing may be attributed to it.
+        EXPECT_EQ(other.value[slot], 0u);
     }
     EXPECT_EQ(seen, 2);
 

@@ -160,10 +160,10 @@ INSTANTIATE_TEST_SUITE_P(
         MutationCase{Mutation::kDropOp, "IR_COVER"},
         MutationCase{Mutation::kDupOp, "IR_COVER"},
         MutationCase{Mutation::kReorderAccum, "IR_ORDER"},
-        MutationCase{Mutation::kSeverZeroBarrier, "IR_RACE_WW"},
-        MutationCase{Mutation::kSeverFlushBarrier, "IR_RACE_RW"},
+        MutationCase{Mutation::kSeverColumnBarrier, "IR_RACE_WW"},
+        MutationCase{Mutation::kSeverPackBarrier, "IR_RACE_RW"},
         MutationCase{Mutation::kShrinkGeneration, "IR_LIFETIME"},
-        MutationCase{Mutation::kDropFlush, "IR_COVER"}));
+        MutationCase{Mutation::kDropFirstSlab, "IR_COVER"}));
 
 TEST(MutationSites, SerialAndGotoRejectLostAndDuplicatedUpdates)
 {
@@ -180,10 +180,11 @@ TEST(MutationSites, SerialAndGotoRejectLostAndDuplicatedUpdates)
 
 TEST(MutationSites, InapplicableMutationThrows)
 {
-    // GOTO has no flush ops and no double buffers: those mutations have
-    // no site and must refuse rather than silently no-op.
+    // GOTO has no column visits and no double buffers: those mutations
+    // have no site and must refuse rather than silently no-op.
     ScheduleIR ir = mutation_subject(Exec::kGoto);
-    EXPECT_THROW(schedir::apply_mutation(ir, Mutation::kDropFlush), Error);
+    EXPECT_THROW(schedir::apply_mutation(ir, Mutation::kDropFirstSlab),
+                 Error);
     EXPECT_THROW(schedir::apply_mutation(ir, Mutation::kShrinkGeneration),
                  Error);
 }
@@ -306,16 +307,14 @@ TEST(IoAgainstRuntime, GotoStatsMatchIr)
 
 #if CAKE_OBS_ENABLED
 
-/// Per-phase op counts, indexed [phase][kind] over the five kinds the
-/// executor emits a span for (pack.A, pack.B, compute, flush.write,
-/// flush.zero).
-using PhaseCounts = std::vector<std::array<index_t, 5>>;
+/// Per-phase op counts, indexed [phase][kind] over the three kinds the
+/// executor emits a span for (pack.A, pack.B, compute).
+using PhaseCounts = std::vector<std::array<index_t, 3>>;
 
 int span_kind(const char* name)
 {
-    const char* names[] = {"pack.A", "pack.B", "compute", "flush.write",
-                           "flush.zero"};
-    for (int i = 0; i < 5; ++i) {
+    const char* names[] = {"pack.A", "pack.B", "compute"};
+    for (int i = 0; i < 3; ++i) {
         if (std::strcmp(name, names[i]) == 0) return i;
     }
     return -1;
@@ -327,8 +326,6 @@ int op_kind(schedir::OpKind kind)
     case schedir::OpKind::kPackA: return 0;
     case schedir::OpKind::kPackB: return 1;
     case schedir::OpKind::kCompute: return 2;
-    case schedir::OpKind::kFlush: return 3;
-    case schedir::OpKind::kZeroC: return 4;
     case schedir::OpKind::kStreamB: break;  // no work item, no span
     }
     return -1;
@@ -337,7 +334,7 @@ int op_kind(schedir::OpKind kind)
 PhaseCounts ir_phase_counts(const ScheduleIR& ir)
 {
     PhaseCounts counts(static_cast<std::size_t>(ir.num_phases),
-                       std::array<index_t, 5>{});
+                       std::array<index_t, 3>{});
     for (const schedir::TileOp& op : ir.ops) {
         const int kind = op_kind(op.kind);
         if (kind >= 0) ++counts[static_cast<std::size_t>(op.phase)][kind];
@@ -362,7 +359,7 @@ PhaseCounts traced_phase_counts(const obs::TraceDump& dump,
                   return std::tie(a.start_ns, a.dur_ns)
                       < std::tie(b.start_ns, b.dur_ns);
               });
-    PhaseCounts got(expected.size(), std::array<index_t, 5>{});
+    PhaseCounts got(expected.size(), std::array<index_t, 3>{});
     std::size_t next = 0;
     for (std::size_t q = 0; q < expected.size(); ++q) {
         index_t n = 0;

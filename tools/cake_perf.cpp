@@ -4,7 +4,7 @@
 // Every other checker in this tree (cake_audit, cake_verify, memsim,
 // locality) tests the paper's Eq.-2 DRAM-traffic claim against models and
 // simulators. This tool reads the machine: it arms src/obs/perf around a
-// counted multiply, prints per-phase (pack/compute/flush/stall) counter
+// counted multiply, prints per-phase (pack/compute/barrier) counter
 // tables and the counter-derived roofline operating point, and gates the
 // divergence between measured LLC-miss bytes and the driver's predicted
 // DRAM read bytes (the same figure the schedule IR and memsim prove

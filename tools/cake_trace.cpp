@@ -8,7 +8,7 @@
 //   * prints a self-profile: per-worker phase seconds, top spans, a
 //     barrier-wait stall table, and an ASCII overlap timeline,
 //   * cross-checks the trace against CakeStats: per-worker
-//     pack/compute/flush span totals divided by p must agree with the
+//     pack/compute span totals divided by p must agree with the
 //     stats' phase seconds (the executors time the same windows).
 //
 // Usage:
@@ -286,8 +286,6 @@ int run(const Options& opt)
              report.phase_total_s(cake::obs::Phase::kPack) / workers},
             {"compute", st.compute_seconds,
              report.phase_total_s(cake::obs::Phase::kCompute) / workers},
-            {"flush", st.flush_seconds,
-             report.phase_total_s(cake::obs::Phase::kFlush) / workers},
         };
         cake::Table cmp({"phase", "stats_s", "trace_s/p", "rel_err"});
         for (const PhaseAgreement& row : rows) {

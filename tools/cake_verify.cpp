@@ -239,9 +239,12 @@ std::string config_label(const std::string& machine, bool f64,
 }
 
 /// Verify all Table-2 presets x shape classes x schedule kinds x executors
-/// (the shapes and kernel tiles mirror cake_audit --sweep). The memsim
-/// cross-check runs on the shallow-K shape, where the full address-stream
-/// replay is cheap; the analytic Eq.-2 check covers every config.
+/// (the shapes and kernel tiles mirror cake_audit --sweep), each at
+/// beta == 0 and beta != 0: the first slab of a column visit is a plain
+/// write in the one and a read-modify-write in the other. The memsim
+/// cross-check runs on the shallow-K beta == 0 shape, where the full
+/// address-stream replay is cheap; the analytic Eq.-2 check covers every
+/// config.
 bool run_sweep()
 {
     const std::vector<cake::GemmShape> shapes = {
@@ -266,14 +269,21 @@ bool run_sweep()
                 for (const cake::ScheduleKind kind : kinds) {
                     for (const Exec exec :
                          {Exec::kSerial, Exec::kPipelined}) {
-                        const ScheduleIR ir = cake::schedir::extract_cake_ir(
-                            shape, params, kind, exec);
-                        // Trace replay once per plan: both executors model
-                        // identical byte totals by construction.
-                        all_ok &= verify_one(
-                            config_label(machine.name, f64, shape, kind,
-                                         exec),
-                            ir, memsim_here && exec == Exec::kSerial);
+                        for (const bool beta : {false, true}) {
+                            const ScheduleIR ir =
+                                cake::schedir::extract_cake_ir(
+                                    shape, params, kind, exec,
+                                    /*use_prepacked=*/false, beta);
+                            // Trace replay once per plan: both executors
+                            // model identical byte totals by construction.
+                            all_ok &= verify_one(
+                                config_label(machine.name, f64, shape, kind,
+                                             exec)
+                                    + (beta ? "  beta" : ""),
+                                ir,
+                                memsim_here && exec == Exec::kSerial
+                                    && !beta);
+                        }
                     }
                 }
                 if (!f64) {  // the GOTO trace layer is f32-fixed
@@ -293,8 +303,8 @@ bool run_sweep()
 }
 
 /// Small multi-column grid (forced mc) so every mutation has a site:
-/// several C columns (flush/zero turnovers), kb >= 2 (double-buffer
-/// handoffs) and p workers.
+/// several C columns (column turnovers), kb >= 2 (multi-slab column
+/// visits, double-buffer handoffs) and p workers.
 ScheduleIR mutation_subject(Exec exec)
 {
     const cake::MachineSpec machine = cake::intel_i9_10900k();
@@ -339,10 +349,10 @@ bool run_mutations()
                              mutation_subject(exec), false);
     }
     const Mutation all[] = {
-        Mutation::kDropOp,           Mutation::kDupOp,
-        Mutation::kReorderAccum,     Mutation::kSeverZeroBarrier,
-        Mutation::kSeverFlushBarrier, Mutation::kShrinkGeneration,
-        Mutation::kDropFlush,
+        Mutation::kDropOp,              Mutation::kDupOp,
+        Mutation::kReorderAccum,        Mutation::kSeverColumnBarrier,
+        Mutation::kSeverPackBarrier,    Mutation::kShrinkGeneration,
+        Mutation::kDropFirstSlab,
     };
     for (const Mutation m : all) {
         all_ok &= check_mutation(Exec::kPipelined, m);
@@ -620,7 +630,7 @@ bool run_locality_mutations()
         all_ok &= check_loc_mutation(exec, LocMutation::kTwistOrder);
         all_ok &= check_loc_mutation(exec, LocMutation::kSkewFetch);
         all_ok &= check_loc_mutation(exec, LocMutation::kPhantomFetch);
-        all_ok &= check_loc_mutation(exec, LocMutation::kInflateFlush);
+        all_ok &= check_loc_mutation(exec, LocMutation::kInflateWriteback);
     }
     return all_ok;
 }
