@@ -39,6 +39,9 @@ bool check_malformed(const KernelIr& ir, KernelReport& report)
     if (ir.lanes < 1) complain("lanes must be positive");
     if (ir.lanes > ir.nr) complain("lanes wider than the tile");
     if (ir.quad < 1) complain("quad must be positive");
+    if (ir.instrs_per_update < 1) {
+        complain("instrs_per_update must be positive");
+    }
     if (ir.acc_regs < 1) complain("no accumulators declared");
     if (ir.reg_budget < 1) complain("no register budget declared");
     if (ir.fmas.empty()) complain("empty FMA list");
@@ -594,8 +597,8 @@ KernelReport check_kernel(const KernelIr& ir)
     // pass is clean (a broken store map has no well-defined expectation),
     // and only runnable when the host can execute the kernel.
     if (!report.ok()) return report;
-    const bool runnable = ir.family == "i8" ? int8_isa_supported(ir.isa)
-                                            : isa_supported(ir.isa);
+    const bool runnable = i8 != nullptr ? int8_kernel_supported(*i8)
+                                        : isa_supported(ir.isa);
     if (!runnable) return report;
     report.fingerprinted = true;
     if (f32 != nullptr) fingerprint_float(ir, *f32, report);

@@ -29,6 +29,8 @@ struct CpuFeatures {
     bool avx2 = false;      ///< AVX2 and FMA both present and OS-enabled
     bool avx512f = false;   ///< AVX-512 Foundation present and OS-enabled
     bool avx512bw = false;  ///< AVX-512 Byte/Word (int8 kernels)
+    /// AVX-512 VNNI (vpdpbusd on zmm), reported only together with BW.
+    bool avx512vnni = false;
 };
 
 /// Detected features of the executing CPU (cached after first call).

@@ -59,7 +59,8 @@ void avx2_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
 
 Int8MicroKernel avx2_int8_microkernel()
 {
-    return {"avx2_int8_4x16", Isa::kAvx2, kMr, kNr, &avx2_int8_ukr};
+    return {"avx2_int8_4x16", Isa::kAvx2, kMr, kNr, &avx2_int8_ukr,
+            &CpuFeatures::avx2};
 }
 
 }  // namespace cake

@@ -53,7 +53,8 @@ void avx512_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
 
 Int8MicroKernel avx512_int8_microkernel()
 {
-    return {"avx512_int8_4x32", Isa::kAvx512, kMr, kNr, &avx512_int8_ukr};
+    return {"avx512_int8_4x32", Isa::kAvx512, kMr, kNr, &avx512_int8_ukr,
+            &CpuFeatures::avx512bw};
 }
 
 }  // namespace cake

@@ -2,8 +2,7 @@
 // plus the shared dispatch and edge-tile helpers.
 #include "kernel/kernel_int8.hpp"
 
-#include <algorithm>
-#include <string_view>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -58,58 +57,59 @@ const std::vector<Int8MicroKernel>& all_int8_microkernels()
 #endif
 #if defined(CAKE_HAVE_AVX512_KERNEL)
         v.push_back(avx512_int8_microkernel());
+        v.push_back(avx512vnni_int8_microkernel());
 #endif
         return v;
     }();
     return kernels;
 }
 
-bool int8_isa_supported(Isa isa)
+bool int8_kernel_supported(const Int8MicroKernel& k,
+                           const CpuFeatures& features)
 {
-    switch (isa) {
-        case Isa::kScalar: return true;
-        case Isa::kAvx2: return cpu_features().avx2;
-        case Isa::kAvx512: return cpu_features().avx512bw;
-    }
-    return false;
+    return k.needs == nullptr || features.*k.needs;
 }
 
-std::vector<Int8MicroKernel> supported_int8_microkernels()
+std::vector<Int8MicroKernel> supported_int8_microkernels(
+    const CpuFeatures& features)
 {
+    const std::vector<Int8MicroKernel>& all = all_int8_microkernels();
     std::vector<Int8MicroKernel> v;
-    for (const Int8MicroKernel& k : all_int8_microkernels()) {
-        if (int8_isa_supported(k.isa)) v.push_back(k);
+    for (auto it = all.rbegin(); it != all.rend(); ++it) {
+        if (int8_kernel_supported(*it, features)) v.push_back(*it);
     }
-    std::sort(v.begin(), v.end(),
-              [](const Int8MicroKernel& a, const Int8MicroKernel& b) {
-                  if (a.isa != b.isa) {
-                      return static_cast<int>(a.isa)
-                          > static_cast<int>(b.isa);
-                  }
-                  return std::string_view(a.name) < std::string_view(b.name);
-              });
     return v;
+}
+
+Int8MicroKernel choose_int8_microkernel(const CpuFeatures& features,
+                                        std::optional<Isa> forced)
+{
+    const std::vector<Int8MicroKernel> runnable =
+        supported_int8_microkernels(features);
+    if (!forced) return runnable.front();  // scalar always runs
+    for (const Int8MicroKernel& k : runnable) {
+        if (k.isa == *forced) return k;
+    }
+    for (const Int8MicroKernel& k : all_int8_microkernels()) {
+        if (k.isa == *forced) {
+            throw Error(std::string("int8 ISA ") + isa_name(*forced)
+                        + " not supported by CPU");
+        }
+    }
+    throw Error(std::string("no int8 micro-kernel compiled for ISA ")
+                + isa_name(*forced));
 }
 
 const Int8MicroKernel& best_int8_microkernel()
 {
     static const Int8MicroKernel chosen = [] {
-        if (auto forced = env_string("CAKE_FORCE_ISA")) {
-            // Same coded [FORCE_ISA] contract as the float registry: an
-            // unknown value raises, never falls back to autodetection.
-            const Isa isa = parse_forced_isa(*forced);
-            for (const Int8MicroKernel& k : all_int8_microkernels()) {
-                if (k.isa == isa) {
-                    CAKE_CHECK_MSG(int8_isa_supported(isa),
-                                   "int8 ISA " << isa_name(isa)
-                                       << " not supported by CPU");
-                    return k;
-                }
-            }
-            throw Error(std::string("no int8 micro-kernel compiled for ISA ")
-                        + isa_name(isa));
+        // Same coded [FORCE_ISA] contract as the float registry: an
+        // unknown value raises, never falls back to autodetection.
+        std::optional<Isa> forced;
+        if (auto name = env_string("CAKE_FORCE_ISA")) {
+            forced = parse_forced_isa(*name);
         }
-        return supported_int8_microkernels().front();
+        return choose_int8_microkernel(cpu_features(), forced);
     }();
     return chosen;
 }

@@ -17,7 +17,8 @@ namespace {
 KernelIr row_panel_ir(std::string name, std::string family, Isa isa,
                       index_t mr, index_t nr, int lanes, int quad,
                       KirAccStorage storage, int a_regs, int b_regs,
-                      int tmp_regs, int const_regs, int reg_budget)
+                      int tmp_regs, int const_regs, int reg_budget,
+                      int instrs_per_update = 1)
 {
     KernelIr ir;
     ir.kernel = std::move(name);
@@ -34,6 +35,7 @@ KernelIr row_panel_ir(std::string name, std::string family, Isa isa,
     ir.const_regs = const_regs;
     ir.reg_budget = reg_budget;
     ir.chain_updates = 1;  // each acc is updated once per k-step
+    ir.instrs_per_update = instrs_per_update;
     const int halves = static_cast<int>(nr) / lanes;
     ir.acc_regs = static_cast<int>(mr) * halves;
     for (int i = 0; i < static_cast<int>(mr); ++i) {
@@ -71,11 +73,12 @@ std::vector<KernelIr> build_all_irs()
     irs.push_back(row_panel_ir("avx2_6x8_f64", "f64", Isa::kAvx2, 6, 8,
                                /*lanes=*/4, 1, KirAccStorage::kRegisters,
                                1, 2, 0, 0, 16));
-    // 8 acc + 1 broadcast + 2 B + 2 madd products + `ones` = 14 of 16.
+    // 8 acc + 1 broadcast + 2 B + 2 madd products + `ones` = 14 of 16;
+    // vpmaddubsw + vpmaddwd + vpaddd per update.
     irs.push_back(row_panel_ir("avx2_int8_4x16", "i8", Isa::kAvx2, 4, 16,
                                /*lanes=*/8, /*quad=*/4,
                                KirAccStorage::kRegisters, 1, 2, /*tmp=*/2,
-                               /*const=*/1, 16));
+                               /*const=*/1, 16, /*instrs=*/3));
 #endif
 #if defined(CAKE_HAVE_AVX512_KERNEL)
     // 28 zmm accumulators + 1 broadcast + 2 B loads = 31 of 32.
@@ -88,7 +91,12 @@ std::vector<KernelIr> build_all_irs()
     irs.push_back(row_panel_ir("avx512_int8_4x32", "i8", Isa::kAvx512, 4,
                                32, /*lanes=*/16, /*quad=*/4,
                                KirAccStorage::kRegisters, 1, 2, /*tmp=*/2,
-                               /*const=*/1, 32));
+                               /*const=*/1, 32, /*instrs=*/3));
+    // 24 zmm accumulators + 1 broadcast + 3 B loads = 28 of 32; one
+    // vpdpbusd per update, no temporaries or constants.
+    irs.push_back(row_panel_ir("avx512vnni_int8_8x48", "i8", Isa::kAvx512,
+                               8, 48, /*lanes=*/16, /*quad=*/4,
+                               KirAccStorage::kRegisters, 1, 3, 0, 0, 32));
 #endif
     return irs;
 }

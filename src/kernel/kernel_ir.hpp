@@ -9,8 +9,7 @@
 //
 //   * geometry       — mr x nr tile, vector lanes per register, and the
 //                      reduction elements folded per symbolic step (`quad`:
-//                      1 for the float kernels, 4 for the vpmaddubsw int8
-//                      idiom);
+//                      1 for the float kernels, 4 for the int8 kernels);
 //   * dataflow       — one KirFma{acc, a_row, b_col} per FMA of the k-step:
 //                      lane l of accumulator `acc` receives
 //                      a(a_row, p)·b(p, b_col + l) summed over the step's
@@ -25,7 +24,9 @@
 //                      (kKirStackTileBudgetBytes);
 //   * chain depth    — declared sequential updates per accumulator per
 //                      k-step, the quantity the static throughput bound
-//                      (model/kernel_peak.hpp) divides FMA latency by.
+//                      (model/kernel_peak.hpp) divides FMA latency by;
+//   * issue cost     — instructions issued per accumulator update (1 for
+//                      an FMA or vpdpbusd, 3 for the vpmaddubsw idiom).
 //
 // This header is release code, like core/fperror and model/planner: the
 // descriptors and the cheap structural gate below are what release-side
@@ -88,6 +89,10 @@ struct KernelIr {
     /// verifier re-derives this from `fmas` and rejects a mismatch
     /// (KIR_THROUGHPUT), so the throughput bound cannot be gamed.
     int chain_updates = 1;
+    /// Instructions issued per accumulator update: 1 for an FMA or
+    /// vpdpbusd, 3 for the vpmaddubsw + vpmaddwd + vpaddd int8 idiom. The
+    /// static peak divides the port rate by it.
+    int instrs_per_update = 1;
     std::vector<KirFma> fmas;      ///< dataflow of ONE k-step
     std::vector<KirStore> stores;  ///< accumulator -> C mapping
 

@@ -5,17 +5,20 @@
 namespace cake {
 namespace model {
 
-KirPipeModel kir_pipe_model(const std::string& family, Isa isa)
+KirPipeModel kir_pipe_model(const KernelIr& ir)
 {
-    if (family == "i8") {
-        // The accumulator-carried op is a latency-1 vector int add (the
-        // maddubs/madd pair hangs off the B load, not the chain).
-        return isa == Isa::kScalar ? KirPipeModel{1, 1} : KirPipeModel{1, 2};
+    const int ports = ir.isa == Isa::kScalar ? 1 : 2;
+    if (ir.family == "i8") {
+        // One instruction per update means vpdpbusd (latency 5) carries
+        // the chain; the three-instruction idiom's carried op is a
+        // latency-1 vpaddd (the maddubs/madd pair hangs off the B load).
+        const bool vnni = ir.isa != Isa::kScalar && ir.instrs_per_update == 1;
+        return {vnni ? 5 : 1, ports};
     }
     // Skylake-class FMA: 4-cycle latency, dual-ported for the SIMD
     // kernels; the scalar kernels' stack tile keeps them off the fast
     // path, modelled single-ported.
-    return isa == Isa::kScalar ? KirPipeModel{4, 1} : KirPipeModel{4, 2};
+    return {4, ports};
 }
 
 KernelPeakRow kernel_peak_row(const KernelIr& ir)
@@ -30,15 +33,17 @@ KernelPeakRow kernel_peak_row(const KernelIr& ir)
     row.regs_used = ir.regs_used();
     row.reg_budget = ir.reg_budget;
     row.chain_updates = ir.chain_updates;
-    const KirPipeModel pipe = kir_pipe_model(ir.family, ir.isa);
+    const KirPipeModel pipe = kir_pipe_model(ir);
     row.independent_chains = ir.chain_updates > 0
         ? static_cast<double>(ir.acc_regs) / ir.chain_updates
         : 0.0;
     const double needed = static_cast<double>(pipe.latency) * pipe.ports;
     row.utilization =
         needed > 0 ? std::min(1.0, row.independent_chains / needed) : 0.0;
-    row.ops_per_cycle = 2.0 * ir.lanes * ir.quad * pipe.ports
-        * row.utilization;
+    row.ops_per_cycle = ir.instrs_per_update > 0
+        ? 2.0 * ir.lanes * ir.quad * pipe.ports * row.utilization
+            / ir.instrs_per_update
+        : 0.0;
     return row;
 }
 

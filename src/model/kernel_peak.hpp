@@ -14,14 +14,17 @@
 //
 // and the per-core roof, in operations per cycle (= GFLOP/s per GHz), is
 //
-//     2 * lanes * quad * P * utilisation
+//     2 * lanes * quad * P * utilisation / instrs_per_update
 //
-// (2 for multiply+add; quad > 1 for the int8 dot-quad idiom, whose
-// "flops" are int ops). The pipe constants are a deliberate coarse model
-// (Skylake-class FMA latency 4, 2 ports; latency-1 integer adds carry the
-// int8 chains) — an upper bound, not a prediction: real kernels also pay
-// loads, broadcasts and loop overhead. The verifier (KIR_THROUGHPUT)
-// pins chain_updates to the IR's actual dataflow, so the bound cannot be
+// (2 for multiply+add; quad > 1 for the int8 dot-quad kernels, whose
+// "flops" are int ops; the P ports are shared by every instruction one
+// accumulator update issues, so the three-instruction vpmaddubsw idiom
+// gets a third of the rate vpdpbusd gets). The pipe constants are a
+// deliberate coarse model (Skylake-class FMA latency 4 and vpdpbusd
+// latency 5, 2 ports; latency-1 vpaddd carries the idiom's int8 chains)
+// — an upper bound, not a prediction: real kernels also pay loads,
+// broadcasts and loop overhead. The verifier (KIR_THROUGHPUT) pins
+// chain_updates to the IR's actual dataflow, so the bound cannot be
 // inflated by under-declaring the chain depth.
 //
 // Release code, like the rest of src/model: the numbers feed benches and
@@ -37,15 +40,16 @@
 namespace cake {
 namespace model {
 
-/// Pipe model for one (family, ISA): FMA/accumulate latency and issue
-/// ports. Scalar kernels are modelled single-ported — their stack tile
-/// round-trips through L1, so the port-2 fast path is not theirs.
+/// Pipe model for one kernel: latency of the accumulator-carried
+/// instruction and issue ports. Scalar kernels are modelled single-ported
+/// — their stack tile round-trips through L1, so the port-2 fast path is
+/// not theirs.
 struct KirPipeModel {
     int latency = 1;
     int ports = 1;
 };
 
-KirPipeModel kir_pipe_model(const std::string& family, Isa isa);
+KirPipeModel kir_pipe_model(const KernelIr& ir);
 
 /// One roofline row: the static compute roof of one registered kernel.
 struct KernelPeakRow {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -275,20 +278,30 @@ TEST(Int8Gemm, TrafficAccountingPinned)
 {
     // Operand traffic is counted at 1 byte per A/B element and 4 per C
     // element. The tiling is pinned (p, mc, kc, nc) so the counts do not
-    // depend on the host's caches or int8 kernel width (every int8 kernel
-    // has mr = 4 and nr divides 64). The schedule IR of the same multiply,
+    // depend on the host's caches. They do depend on the int8 kernel's
+    // width, because the block width is nc rounded up to a multiple of
+    // nr: the 4-row kernels (nr divides 64) keep nc = 64, and the 8x48
+    // VNNI kernel widens it to 96. The schedule IR of the same multiply,
     // at 1-byte operands, must model the same bytes.
     struct Expect {
         index_t m, n, k;
         index_t a_packs, b_packs, c_flushes, c_partial_spills;
         std::uint64_t dram_read, dram_write;
     };
-    const Expect cases[] = {
+    const Expect nc64_cases[] = {
         {150, 170, 90, 25, 21, 9, 0, 75120, 102000},
         {64, 64, 64, 2, 2, 1, 0, 8192, 16384},
         {97, 200, 300, 61, 60, 8, 0, 227200, 77600},
     };
-    for (const Expect& e : cases) {
+    const Expect nc96_cases[] = {
+        {150, 170, 90, 17, 14, 6, 0, 64180, 102000},
+        {64, 64, 64, 2, 2, 1, 0, 8192, 16384},
+        {97, 200, 300, 46, 45, 6, 0, 199420, 77600},
+    };
+    const index_t nr = best_int8_microkernel().nr;
+    ASSERT_TRUE(64 % nr == 0 || nr == 48)
+        << "no pinned traffic for int8 kernel width nr = " << nr;
+    for (const Expect& e : nr == 48 ? nc96_cases : nc64_cases) {
         std::vector<std::uint8_t> a(static_cast<std::size_t>(e.m * e.k), 1);
         std::vector<std::int8_t> b(static_cast<std::size_t>(e.k * e.n), 1);
         std::vector<std::int32_t> c(static_cast<std::size_t>(e.m * e.n), 0);
@@ -603,6 +616,197 @@ TEST(Int8Gemm, ContractViolationsRejected)
                  Error);
     EXPECT_NO_THROW(gemm.multiply(a.data(), 4, b.data(), 4, c.data(), 4, 4,
                                   4, 4));
+}
+
+/// The compiled int8 kernel called `name` if this CPU can run it.
+const Int8MicroKernel* runnable_int8_kernel(const std::string& name)
+{
+    for (const Int8MicroKernel& k : all_int8_microkernels()) {
+        if (name == k.name) return int8_kernel_supported(k) ? &k : nullptr;
+    }
+    return nullptr;
+}
+
+// vpdpbusd sums the four u8 x s8 products of a lane straight into int32,
+// with no int16 intermediate, so the VNNI kernel is exact over the whole
+// u8 x s8 range, including the a = 255, b = -128 / 127 corners that
+// saturate the vpmaddubsw kernels.
+TEST(Int8Kernel, VnniExactOverFullU8S8Range)
+{
+    const Int8MicroKernel* k = runnable_int8_kernel("avx512vnni_int8_8x48");
+    if (k == nullptr) GTEST_SKIP() << "VNNI int8 kernel cannot run here";
+    const index_t mr = k->mr;
+    const index_t nr = k->nr;
+    Rng rng(111);
+    for (const index_t kq : {1, 2, 129}) {
+        AlignedBuffer<std::uint8_t> a(static_cast<std::size_t>(mr * kq * 4));
+        AlignedBuffer<std::int8_t> b(static_cast<std::size_t>(nr * kq * 4));
+        for (index_t q = 0; q < kq; ++q) {
+            for (index_t i = 0; i < mr; ++i) {
+                for (index_t d = 0; d < 4; ++d) {
+                    // Row 0 is all 255; the rest span [0, 255].
+                    a[static_cast<std::size_t>(q * mr * 4 + i * 4 + d)] =
+                        i == 0 ? 255
+                               : static_cast<std::uint8_t>(
+                                   rng.next_below(256));
+                }
+            }
+            for (index_t j = 0; j < nr; ++j) {
+                for (index_t d = 0; d < 4; ++d) {
+                    // Column 0 is all -128, column 1 all 127; the rest
+                    // span [-128, 127].
+                    b[static_cast<std::size_t>(q * nr * 4 + j * 4 + d)] =
+                        j == 0   ? static_cast<std::int8_t>(-128)
+                        : j == 1 ? static_cast<std::int8_t>(127)
+                                 : static_cast<std::int8_t>(
+                                     static_cast<int>(rng.next_below(256))
+                                     - 128);
+                }
+            }
+        }
+        std::vector<std::int64_t> want(static_cast<std::size_t>(mr * nr), 0);
+        for (index_t i = 0; i < mr; ++i)
+            for (index_t j = 0; j < nr; ++j)
+                for (index_t q = 0; q < kq; ++q)
+                    for (index_t d = 0; d < 4; ++d)
+                        want[static_cast<std::size_t>(i * nr + j)] +=
+                            static_cast<std::int64_t>(
+                                a[static_cast<std::size_t>(q * mr * 4 + i * 4
+                                                           + d)])
+                            * b[static_cast<std::size_t>(q * nr * 4 + j * 4
+                                                         + d)];
+        EXPECT_EQ(want[0], -255LL * 128 * 4 * kq);
+        EXPECT_EQ(want[1], 255LL * 127 * 4 * kq);
+
+        for (const bool accumulate : {false, true}) {
+            AlignedBuffer<std::int32_t> c(static_cast<std::size_t>(mr * nr));
+            for (std::size_t e = 0; e < c.size(); ++e) {
+                c[e] = static_cast<std::int32_t>(e) * 3 - 500;
+            }
+            k->fn(kq, a.data(), b.data(), c.data(), nr, accumulate);
+            for (std::size_t e = 0; e < c.size(); ++e) {
+                const std::int64_t base =
+                    accumulate ? static_cast<std::int64_t>(e) * 3 - 500 : 0;
+                ASSERT_EQ(static_cast<std::int64_t>(c[e]), want[e] + base)
+                    << "kq=" << kq << " accumulate=" << accumulate
+                    << " C(" << static_cast<index_t>(e) / nr << ","
+                    << static_cast<index_t>(e) % nr << ")";
+            }
+        }
+    }
+}
+
+// Shapes one below, at and one above the 8x48 tile and the k-quad, plus
+// a wide and a deep one, through every public int8 entry: plain and
+// prepacked, overwrite and accumulate, one worker and four.
+TEST(Int8Gemm, TileEdgeGridExact)
+{
+    std::uint64_t seed = 1200;
+    for (const index_t m : {1, 7, 8, 9, 33}) {
+        for (const index_t n : {1, 47, 48, 49, 1000}) {
+            for (const index_t k : {1, 3, 4, 5, 513}) {
+                Rng rng(++seed);
+                std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
+                std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+                fill_random_u8(a, rng);
+                fill_random_s8(b, rng);
+                std::vector<std::int32_t> c0(
+                    static_cast<std::size_t>(m * n));
+                for (auto& x : c0) {
+                    x = static_cast<std::int32_t>(rng.next_below(2001))
+                        - 1000;
+                }
+                const auto oracle = int_oracle(a, b, m, n, k);
+                for (const int p : {1, 4}) {
+                    for (const bool accumulate : {false, true}) {
+                        CakeOptions options;
+                        options.p = p;
+                        options.accumulate = accumulate;
+                        CakeGemmInt8 gemm(test_pool(), options);
+                        std::vector<std::int32_t> plain = c0;
+                        std::vector<std::int32_t> prepacked = c0;
+                        gemm.multiply(a.data(), k, b.data(), n, plain.data(),
+                                      n, m, n, k);
+                        const PackedBInt8 packed =
+                            gemm.pack_weights(b.data(), n, k, n);
+                        gemm.multiply_prepacked(a.data(), k, packed,
+                                                prepacked.data(), n, m);
+                        for (std::size_t i = 0; i < c0.size(); ++i) {
+                            const std::int64_t want =
+                                oracle[i] + (accumulate ? c0[i] : 0);
+                            ASSERT_EQ(static_cast<std::int64_t>(plain[i]),
+                                      want)
+                                << m << "x" << n << "x" << k << " p=" << p
+                                << " accumulate=" << accumulate
+                                << " idx=" << i << " (plain)";
+                            ASSERT_EQ(
+                                static_cast<std::int64_t>(prepacked[i]),
+                                want)
+                                << m << "x" << n << "x" << k << " p=" << p
+                                << " accumulate=" << accumulate
+                                << " idx=" << i << " (prepacked)";
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// Runnability is decided per kernel: a CPU with AVX-512BW but no VNNI
+// (Skylake-X) must never be handed the vpdpbusd kernel, neither by
+// default nor under a forced avx512 ISA.
+TEST(Int8Dispatch, VnniKernelFilteredOutWithoutVnni)
+{
+    CpuFeatures bw_only;
+    bw_only.avx2 = true;
+    bw_only.avx512f = true;
+    bw_only.avx512bw = true;
+    for (const Int8MicroKernel& k : supported_int8_microkernels(bw_only)) {
+        EXPECT_NE(std::string(k.name), "avx512vnni_int8_8x48");
+    }
+    EXPECT_EQ(std::string(choose_int8_microkernel(CpuFeatures{},
+                                                  std::nullopt)
+                              .name),
+              "scalar_int8_4x4");
+    EXPECT_THROW(choose_int8_microkernel(CpuFeatures{}, Isa::kAvx512),
+                 Error);
+
+    bool avx512_compiled = false;
+    for (const Int8MicroKernel& k : all_int8_microkernels()) {
+        avx512_compiled |= k.isa == Isa::kAvx512;
+    }
+    if (!avx512_compiled) GTEST_SKIP() << "no AVX-512 int8 kernels built";
+    EXPECT_EQ(std::string(choose_int8_microkernel(bw_only, std::nullopt).name),
+              "avx512_int8_4x32");
+    EXPECT_EQ(std::string(choose_int8_microkernel(bw_only, Isa::kAvx512).name),
+              "avx512_int8_4x32");
+    CpuFeatures vnni = bw_only;
+    vnni.avx512vnni = true;
+    EXPECT_EQ(std::string(choose_int8_microkernel(vnni, std::nullopt).name),
+              "avx512vnni_int8_8x48");
+    EXPECT_EQ(std::string(choose_int8_microkernel(vnni, Isa::kAvx512).name),
+              "avx512vnni_int8_8x48");
+}
+
+TEST(Int8Dispatch, HostWithVnniPicksVnniByDefaultAndWhenForced)
+{
+    if (runnable_int8_kernel("avx512vnni_int8_8x48") == nullptr) {
+        GTEST_SKIP() << "VNNI int8 kernel cannot run here";
+    }
+    const std::string vnni = "avx512vnni_int8_8x48";
+    EXPECT_EQ(std::string(supported_int8_microkernels().front().name), vnni);
+    EXPECT_EQ(std::string(choose_int8_microkernel(cpu_features(),
+                                                  std::nullopt)
+                              .name),
+              vnni);
+    EXPECT_EQ(std::string(choose_int8_microkernel(cpu_features(),
+                                                  Isa::kAvx512)
+                              .name),
+              vnni);
+    if (std::getenv("CAKE_FORCE_ISA") == nullptr) {
+        EXPECT_EQ(std::string(best_int8_microkernel().name), vnni);
+    }
 }
 
 }  // namespace

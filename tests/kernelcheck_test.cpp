@@ -55,8 +55,11 @@ KernelIr synthetic_ir()
 
 bool host_can_run(const KernelIr& ir)
 {
-    return ir.family == "i8" ? cake::int8_isa_supported(ir.isa)
-                             : cake::isa_supported(ir.isa);
+    if (ir.family != "i8") return cake::isa_supported(ir.isa);
+    for (const cake::Int8MicroKernel& k : cake::all_int8_microkernels()) {
+        if (ir.kernel == k.name) return cake::int8_kernel_supported(k);
+    }
+    return false;
 }
 
 TEST(KernelCheck, EveryRegisteredIrVerifiesClean)
@@ -249,6 +252,37 @@ TEST(KernelPeak, TableInvariantsHold)
     // may leave some at 0 = absent).
     if (avx2_f32 > 0) EXPECT_GE(avx2_f32, scalar_f32);
     if (avx512_f32 > 0 && avx2_f32 > 0) EXPECT_GE(avx512_f32, avx2_f32);
+}
+
+TEST(KernelPeak, Int8RoofDividesPortRateByInstructionsPerUpdate)
+{
+    // vpdpbusd is one instruction per accumulator update (latency 5, two
+    // ports); the vpmaddubsw + vpmaddwd + vpaddd idiom issues three, so
+    // at the same width its roof is a third.
+    const KernelIr* vnni = cake::kernel_ir_for("avx512vnni_int8_8x48");
+    const KernelIr* bw = cake::kernel_ir_for("avx512_int8_4x32");
+    if (vnni == nullptr || bw == nullptr) {
+        GTEST_SKIP() << "AVX-512 int8 kernels not built";
+    }
+    EXPECT_EQ(vnni->instrs_per_update, 1);
+    EXPECT_EQ(bw->instrs_per_update, 3);
+    const cake::model::KirPipeModel pipe = cake::model::kir_pipe_model(*vnni);
+    EXPECT_EQ(pipe.latency, 5);
+    EXPECT_EQ(pipe.ports, 2);
+    EXPECT_DOUBLE_EQ(cake::model::kernel_peak_row(*vnni).ops_per_cycle,
+                     256.0);
+    EXPECT_DOUBLE_EQ(cake::model::kernel_peak_row(*bw).ops_per_cycle,
+                     256.0 / 3);
+
+    // 24 accumulators cover the 5 x 2 chains vpdpbusd needs in flight;
+    // 8 would not.
+    KernelIr narrow = *vnni;
+    narrow.acc_regs = 8;
+    EXPECT_DOUBLE_EQ(cake::model::kernel_peak_row(narrow).utilization, 0.8);
+
+    KernelIr zero = *vnni;
+    zero.instrs_per_update = 0;
+    EXPECT_TRUE(verify_kernel_ir(zero).has("KIR_MALFORMED"));
 }
 
 TEST(KernelPeak, GflopsScalesLinearlyWithFrequency)

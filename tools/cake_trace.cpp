@@ -14,6 +14,7 @@
 // Usage:
 //   cake_trace --preset intel-i9 --shape square --exec pipelined
 //   cake_trace --preset amd --shape 2048x2048x64 --exec serial --f64
+//   cake_trace --preset host --shape 512x1024x1024 --i8 --check
 //   cake_trace --exec goto --out goto.json --metrics metrics.json
 //   cake_trace --preset intel-i9 --shape square --exec pipelined --check
 //
@@ -23,6 +24,7 @@
 //   --exec    serial|pipelined|goto         (default pipelined)
 //   --p N         worker count (default: host cores)
 //   --f64         double precision
+//   --i8          u8 x s8 -> s32 through CakeGemmInt8 (CAKE execs only)
 //   --capacity N  events per worker ring (default 65536)
 //   --out FILE    Perfetto JSON path (default cake_trace.json)
 //   --metrics FILE  also write the flat metrics JSON
@@ -51,7 +53,9 @@ int main()
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -59,6 +63,7 @@ int main()
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "gotoblas/goto_gemm.hpp"
 #include "machine/machine.hpp"
 #include "obs/export.hpp"
@@ -76,6 +81,7 @@ struct Options {
     std::string exec = "pipelined";
     int p = 0;  // 0 = host cores
     bool f64 = false;
+    bool i8 = false;
     std::size_t capacity = 0;  // 0 = tracer default
     std::string out = "cake_trace.json";
     std::string metrics_out;
@@ -89,7 +95,7 @@ struct Options {
         << "usage: cake_trace [--preset intel-i9|intel|amd|arm|host]\n"
         << "                  [--shape square|skewed|panel|MxNxK]\n"
         << "                  [--exec serial|pipelined|goto] [--p N]\n"
-        << "                  [--f64] [--capacity N] [--out FILE]\n"
+        << "                  [--f64 | --i8] [--capacity N] [--out FILE]\n"
         << "                  [--metrics FILE] [--check]\n";
     std::exit(2);
 }
@@ -151,6 +157,8 @@ Options parse_args(int argc, char** argv)
             opt.p = static_cast<int>(parse_index(next(i, "--p"), "--p"));
         } else if (arg == "--f64") {
             opt.f64 = true;
+        } else if (arg == "--i8") {
+            opt.i8 = true;
         } else if (arg == "--capacity") {
             opt.capacity = static_cast<std::size_t>(
                 parse_index(next(i, "--capacity"), "--capacity"));
@@ -165,6 +173,10 @@ Options parse_args(int argc, char** argv)
         } else {
             usage_error("unknown argument '" + arg + "'");
         }
+    }
+    if (opt.i8 && opt.f64) usage_error("--i8 and --f64 are exclusive");
+    if (opt.i8 && opt.exec == "goto") {
+        usage_error("--i8 requires a CAKE exec (serial|pipelined)");
     }
     return opt;
 }
@@ -191,45 +203,24 @@ struct PhaseAgreement {
     }
 };
 
-/// One templated driver so --f64 shares every code path.
-template <typename T>
-int run(const Options& opt)
+cake::CakeOptions cake_options(const Options& opt,
+                               const cake::MachineSpec& machine, int p)
 {
-    const cake::MachineSpec machine =
-        cake::machine_by_name(preset_alias(opt.preset));
-    const int p = opt.p > 0 ? opt.p : cake::host_machine().cores;
-    cake::ThreadPool pool(p);
-    cake::Rng rng(1);
-
-    const cake::GemmShape& s = opt.shape;
-    cake::MatrixT<T> a(s.m, s.k);
-    cake::MatrixT<T> b(s.k, s.n);
-    cake::MatrixT<T> out(s.m, s.n);
-    a.fill_random(rng);
-    b.fill_random(rng);
-
-    const bool is_goto = opt.exec == "goto";
     cake::CakeOptions copts;
     copts.p = p;
     copts.machine = machine;
     copts.exec = opt.exec == "serial" ? cake::CakeExec::kSerial
                                       : cake::CakeExec::kPipelined;
-    cake::GotoOptions gopts;
-    gopts.p = p;
-    gopts.machine = machine;
+    return copts;
+}
 
-    cake::CakeGemmT<T> cake_gemm(pool, copts);
-    cake::GotoGemmT<T> goto_gemm(pool, gopts);
-    auto multiply = [&]() {
-        if (is_goto) {
-            goto_gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n,
-                               s.m, s.n, s.k);
-        } else {
-            cake_gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n,
-                               s.m, s.n, s.k);
-        }
-    };
-
+/// Trace one `multiply` after an untraced warm-up and report on it. Every
+/// precision shares this path; `stats` is null for GOTO.
+int trace_and_report(const Options& opt, int p, cake::ThreadPool& pool,
+                     const std::function<void()>& multiply,
+                     const cake::CakeStats* stats, const char* dtype)
+{
+    const cake::GemmShape& s = opt.shape;
     // Warm-up untraced: spins up the pool, faults in the matrices and
     // sizes the pack buffers, so the traced run profiles steady state.
     multiply();
@@ -250,7 +241,7 @@ int run(const Options& opt)
 
     std::cout << "cake_trace: preset=" << opt.preset << " shape=" << s.m
               << "x" << s.n << "x" << s.k << " exec=" << opt.exec
-              << " p=" << p << (opt.f64 ? " f64" : " f32") << "\n"
+              << " p=" << p << " " << dtype << "\n"
               << "events recorded: " << report.total_events
               << ", dropped: " << report.total_dropped
               << ", ring capacity: " << cake::obs::ring_capacity()
@@ -278,8 +269,8 @@ int run(const Options& opt)
     // busy time is balanced. Printed for every executor; enforced for
     // CAKE.
     bool agree = true;
-    if (!is_goto) {
-        const cake::CakeStats& st = cake_gemm.stats();
+    if (stats != nullptr) {
+        const cake::CakeStats& st = *stats;
         const int workers = std::max(p, 1);
         const PhaseAgreement rows[] = {
             {"pack", st.pack_seconds,
@@ -353,12 +344,79 @@ int run(const Options& opt)
     return 0;
 }
 
+/// One templated driver so --f64 shares every code path.
+template <typename T>
+int run(const Options& opt)
+{
+    const cake::MachineSpec machine =
+        cake::machine_by_name(preset_alias(opt.preset));
+    const int p = opt.p > 0 ? opt.p : cake::host_machine().cores;
+    cake::ThreadPool pool(p);
+    cake::Rng rng(1);
+
+    const cake::GemmShape& s = opt.shape;
+    cake::MatrixT<T> a(s.m, s.k);
+    cake::MatrixT<T> b(s.k, s.n);
+    cake::MatrixT<T> out(s.m, s.n);
+    a.fill_random(rng);
+    b.fill_random(rng);
+
+    const bool is_goto = opt.exec == "goto";
+    cake::GotoOptions gopts;
+    gopts.p = p;
+    gopts.machine = machine;
+
+    cake::CakeGemmT<T> cake_gemm(pool, cake_options(opt, machine, p));
+    cake::GotoGemmT<T> goto_gemm(pool, gopts);
+    auto multiply = [&]() {
+        if (is_goto) {
+            goto_gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n,
+                               s.m, s.n, s.k);
+        } else {
+            cake_gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n,
+                               s.m, s.n, s.k);
+        }
+    };
+    return trace_and_report(opt, p, pool, multiply,
+                            is_goto ? nullptr : &cake_gemm.stats(),
+                            opt.f64 ? "f64" : "f32");
+}
+
+/// The int8 driver: u8 activations in [0, 127] (the public A range), s8
+/// weights, s32 C.
+int run_i8(const Options& opt)
+{
+    const cake::MachineSpec machine =
+        cake::machine_by_name(preset_alias(opt.preset));
+    const int p = opt.p > 0 ? opt.p : cake::host_machine().cores;
+    cake::ThreadPool pool(p);
+    cake::Rng rng(1);
+
+    const cake::GemmShape& s = opt.shape;
+    std::vector<std::uint8_t> a(static_cast<std::size_t>(s.m * s.k));
+    std::vector<std::int8_t> b(static_cast<std::size_t>(s.k * s.n));
+    std::vector<std::int32_t> out(static_cast<std::size_t>(s.m * s.n));
+    for (auto& v : a) v = static_cast<std::uint8_t>(rng.next_below(128));
+    for (auto& v : b) {
+        v = static_cast<std::int8_t>(
+            static_cast<int>(rng.next_below(255)) - 127);
+    }
+
+    cake::CakeGemmInt8 gemm(pool, cake_options(opt, machine, p));
+    auto multiply = [&]() {
+        gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n, s.m,
+                      s.n, s.k);
+    };
+    return trace_and_report(opt, p, pool, multiply, &gemm.stats(), "i8");
+}
+
 }  // namespace
 
 int main(int argc, char** argv)
 {
     const Options opt = parse_args(argc, argv);
     try {
+        if (opt.i8) return run_i8(opt);
         return opt.f64 ? run<double>(opt) : run<float>(opt);
     } catch (const std::exception& e) {
         std::cerr << "cake_trace: " << e.what() << "\n";
