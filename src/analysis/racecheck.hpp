@@ -18,7 +18,9 @@
 //     as *regions* divided into tiles: the four pack-buffer halves at
 //     mr/nr-sliver granularity and the block's user-C window at mr-band x
 //     nr-sliver granularity, indexed relative to the block origin. Every
-//     pack and compute work item declares its accesses; an access
+//     pack and compute work item declares its accesses (a compute item:
+//     its A sliver, its group's B slivers and its band x sliver-group
+//     tile of C); an access
 //     pair on the same tile without a happens-before edge traps through
 //     checked::fail() with a diagnostic naming the region, tile, schedule
 //     step, CB-block coordinate, executor phase and both threads.

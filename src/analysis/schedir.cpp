@@ -106,6 +106,7 @@ struct IrBuilder {
         op.block = block;
         op.worker = worker;
         op.seq = seq;
+        op.spans.reserve(3);  // no op declares more than three spans
         ir.ops.push_back(std::move(op));
         return ir.ops.back();
     }
@@ -225,32 +226,35 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         op.dram_read_bytes = static_cast<std::uint64_t>(st.ki)
             * static_cast<std::uint64_t>(st.ni) * operand;
     };
-    // One mr compute band: reads the packed surfaces and writes its rows
-    // of the column's user-C window (slot = column, generation = visit).
+    // One compute item (mr band x sliver group): reads its packed-A
+    // sliver and packed-B slivers and writes its tile of the column's
+    // user-C window (slot = column, generation = visit).
     // The first slab of a visit creates the generation — a plain write on
     // a column's first visit with beta == 0, a read-modify-write otherwise
     // — and the last slab closes it, carrying the visit's write-back. The
     // first slab of a revisit carries the spilled partials' reload.
-    auto emit_compute = [&](const BlockStep& st, index_t band) {
-        const index_t r0 = band * mr;
+    auto emit_compute = [&](const BlockStep& st, const ComputeItem& it) {
+        const index_t r0 = it.band * mr;
         const index_t r1 = std::min(st.mi, r0 + mr);
+        const index_t c0 = it.s_begin * nr;
+        const index_t c1 = std::min(st.ni, it.s_end * nr);
         TileOp& op = b.add_op(OpKind::kCompute, st.step, st.coord, -1);
         op.spans.push_back(make_span(
             kBufPackA, st.a_slot, st.a_gen,
-            Access::kRead, band, band + 1, 0, 1));
+            Access::kRead, it.band, it.band + 1, 0, 1));
         if (!use_prepacked) {
             op.spans.push_back(make_span(
-                kBufPackB, st.b_slot, st.b_gen, Access::kRead, 0,
-                ceil_div(st.ni, nr), 0, 1));
+                kBufPackB, st.b_slot, st.b_gen, Access::kRead, it.s_begin,
+                it.s_end, 0, 1));
         }
         const bool overwrite = st.c_change && !st.reload && !beta_nonzero;
         op.spans.push_back(make_span(
             kBufUserC, static_cast<int>(st.coord.m * ir.nb + st.coord.n),
             st.c_visit, overwrite ? Access::kWrite : Access::kReadWrite,
-            st.m0 + r0, st.m0 + r1, st.n0, st.n0 + st.ni,
+            st.m0 + r0, st.m0 + r1, st.n0 + c0, st.n0 + c1,
             /*creates=*/st.c_change, /*closes=*/st.c_last));
         const auto bytes = static_cast<std::uint64_t>(r1 - r0)
-            * static_cast<std::uint64_t>(st.ni) * elem;
+            * static_cast<std::uint64_t>(c1 - c0) * elem;
         if (st.reload) {
             op.dram_reload_bytes = bytes;
             op.dram_read_bytes += bytes;
@@ -273,8 +277,10 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         for (index_t i = 0; i < ph.pack_b; ++i) {
             emit_pack_b(step_of(ph.pack_step), i);
         }
-        if (ph.compute > 0 && use_prepacked && st.b_fresh) emit_stream_b(st);
-        for (index_t i = 0; i < ph.compute; ++i) emit_compute(st, i);
+        if (ph.bands > 0 && use_prepacked && st.b_fresh) emit_stream_b(st);
+        for (index_t i = 0; i < ph.compute_items(); ++i) {
+            emit_compute(st, ph.compute_item(i));
+        }
     }
     return std::move(b.ir);
 }

@@ -7,8 +7,8 @@
 //   * CAKE (lookahead 0 + 1): build_schedule + build_block_plan +
 //     lower_block_plan (src/core/block_plan.cpp), the same phase list the
 //     CB executor interprets for every element type, including
-//     double-buffer slot assignment and the work-item grouping constants
-//     (kPackAGroup/kPackBGroup).
+//     double-buffer slot assignment, the pack grouping constants
+//     (kPackAGroup/kPackBGroup) and each phase's compute-item geometry.
 //   * GOTO: build_goto_passes (src/gotoblas/goto_gemm.cpp), the same pass
 //     list GotoGemmT::multiply iterates.
 // A property proven of this IR is therefore a property of the schedule
@@ -70,8 +70,8 @@ struct TileSpan {
 };
 
 /// What the operation does; one op is one runtime work item (a pack
-/// sliver group, an mr compute band) or one statically assigned worker
-/// chunk (GOTO).
+/// sliver group, an mr band x nr-sliver-group compute tile) or one
+/// statically assigned worker chunk (GOTO).
 enum class OpKind { kPackA, kPackB, kStreamB, kCompute };
 const char* op_kind_name(OpKind kind);
 

@@ -189,10 +189,25 @@ void check_order(const ScheduleIR& ir, const GenGroups& groups,
         }
         const Buffer& buf =
             ir.buffers[static_cast<std::size_t>(std::get<0>(key))];
-        for (const std::size_t c : creators) {
-            for (const std::size_t o : others) {
-                if (sink.full()) return;
-                if (!ord.before(ir.ops[c], ir.ops[o])) {
+        // Every pair is ordered when one set ends in an earlier epoch than
+        // the other starts (ord.before is then true for each pair); only
+        // otherwise are the pairs walked, to find and name the offenders.
+        const auto epochs_precede = [&](const std::vector<std::size_t>& x,
+                                        const std::vector<std::size_t>& y) {
+            index_t last = -1;
+            for (const std::size_t i : x) {
+                last = std::max(last, ord.epoch(ir.ops[i]));
+            }
+            for (const std::size_t i : y) {
+                if (ord.epoch(ir.ops[i]) <= last) return false;
+            }
+            return true;
+        };
+        if (!epochs_precede(creators, others)) {
+            for (const std::size_t c : creators) {
+                for (const std::size_t o : others) {
+                    if (sink.full()) return;
+                    if (ord.before(ir.ops[c], ir.ops[o])) continue;
                     sink.add("IR_ORDER",
                              buf.name + " slot "
                                  + std::to_string(std::get<1>(key)) + " gen "
@@ -203,10 +218,11 @@ void check_order(const ScheduleIR& ir, const GenGroups& groups,
                 }
             }
         }
-        for (const std::size_t x : closers) {
-            for (const std::size_t w : writers) {
-                if (sink.full()) return;
-                if (!ord.before(ir.ops[w], ir.ops[x])) {
+        if (!epochs_precede(writers, closers)) {
+            for (const std::size_t x : closers) {
+                for (const std::size_t w : writers) {
+                    if (sink.full()) return;
+                    if (ord.before(ir.ops[w], ir.ops[x])) continue;
                     sink.add("IR_ORDER",
                              buf.name + " gen "
                                  + std::to_string(std::get<2>(key))
@@ -247,7 +263,12 @@ void check_races(const ScheduleIR& ir, const GenGroups& groups,
             ir.buffers[static_cast<std::size_t>(std::get<0>(key))];
         for (auto& [epoch, rects] : by_epoch) {
             (void)epoch;
-            if (rects.size() < 2) continue;
+            // A race needs a write: read-only epochs have no pair to check.
+            if (rects.size() < 2
+                || std::none_of(rects.begin(), rects.end(),
+                                [](const RectRef& r) { return r.writes; })) {
+                continue;
+            }
             std::sort(rects.begin(), rects.end(),
                       [](const RectRef& a, const RectRef& b) {
                           return a.r0 < b.r0;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "pack/pack.hpp"
+#include "pack/pack_int8.hpp"
 
 namespace cake {
 
@@ -133,12 +133,33 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     return plan;
 }
 
-std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
-                                        index_t nr, int lookahead)
+namespace {
+
+/// Packed elements per sliver row at reduction depth ki: the int8 path,
+/// the only one with 1-byte operands, packs k in quads (pack_int8.hpp).
+index_t packed_depth(index_t ki, index_t operand_bytes)
 {
+    return operand_bytes == 1 ? int8_kq(ki) * 4 : ki;
+}
+
+}  // namespace
+
+std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan,
+                                        const BlockPlanInputs& in,
+                                        int lookahead)
+{
+    const CbBlockParams& params = in.params;
+    const index_t mr = params.mr;
+    const index_t nr = params.nr;
+    const index_t operand =
+        in.operand_bytes > 0 ? in.operand_bytes : params.elem_bytes;
     CAKE_CHECK(lookahead == 0 || lookahead == 1);
-    CAKE_CHECK(mr >= 1 && nr >= 1 && !plan.steps.empty());
+    CAKE_CHECK(mr >= 1 && nr >= 1 && params.p >= 1 && !plan.steps.empty());
     const auto steps = static_cast<index_t>(plan.steps.size());
+    // One core's L2 sub-block (§4.1): the packed-B bytes a sliver group
+    // may hold.
+    const index_t group_budget = params.mc * params.kc * params.elem_bytes;
+    const index_t min_items = 2 * static_cast<index_t>(params.p);
 
     std::vector<PlanPhase> phases;
     auto open = [&](const char* label, index_t step) {
@@ -171,7 +192,14 @@ std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
         // the next block's DRAM fetch spreads over this block's compute
         // (the constant-bandwidth property, §3).
         PlanPhase* main = open(into_main, t);
-        main->compute = ceil_div(st.mi, mr);
+        main->bands = ceil_div(st.mi, mr);
+        main->slivers = ceil_div(st.ni, nr);
+        const index_t per_group = std::max<index_t>(
+            1, group_budget / (packed_depth(st.ki, operand) * nr * operand));
+        const index_t groups =
+            std::max(ceil_div(main->slivers, per_group),
+                     ceil_div(min_items, main->bands));
+        main->groups = std::min(groups, main->slivers);
         if (lookahead == 1 && t + 1 < steps) add_packs(*main, t + 1);
     }
     return phases;
@@ -188,7 +216,7 @@ LoweredPlan lower_multiply(BlockPlanInputs in, ScheduleKind kind,
     out.order = build_schedule(kind, ceil_div(in.m, params.m_blk), in.nb,
                                in.kb, /*n_outermost=*/in.n >= in.m);
     out.plan = build_block_plan(out.order, in);
-    out.phases = lower_block_plan(out.plan, params.mr, params.nr, lookahead);
+    out.phases = lower_block_plan(out.plan, in, lookahead);
     return out;
 }
 

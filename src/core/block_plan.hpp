@@ -24,10 +24,10 @@
 namespace cake {
 
 // Work-item granularity of the lowered phases (executor and IR
-// extractor). Compute items stay one mr band each — the load-balancing unit
-// that keeps every core busy on edge blocks. Pack items are grouped
-// coarser: they are short memcpy-like bodies, and per-item counter and
-// clock overhead would otherwise be measurable.
+// extractor). A compute item is one mr band x one group of nr slivers (see
+// PlanPhase); its geometry comes from the plan, not from a constant. Pack
+// items are grouped coarser: they are short memcpy-like bodies, and
+// per-item counter and clock overhead would otherwise be measurable.
 inline constexpr index_t kPackAGroup = 4;  ///< mr slivers per pack-A item
 inline constexpr index_t kPackBGroup = 8;  ///< nr slivers per pack-B item
 
@@ -103,30 +103,62 @@ struct BlockPlanInputs {
 BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                            const BlockPlanInputs& in);
 
+/// One compute work item: mr band `band` of its block times the nr
+/// slivers [s_begin, s_end) (block-relative indices).
+struct ComputeItem {
+    index_t band = 0;
+    index_t s_begin = 0, s_end = 0;
+};
+
 /// One barrier-delimited phase of the lowered block loop. Its work items
 /// are claimed off one counter in the order pack-A, pack-B, compute. Pack
 /// items serve plan step `pack_step`; compute items serve step `step`.
+///
+/// Compute items tile the block's (mr band x nr sliver) grid: the slivers
+/// are split into `groups` balanced groups and each item is one band of
+/// one group. Items run group-major, so the bands a core claims one after
+/// another reuse one packed-B group that stays in its L2 (paper §4.1).
 struct PlanPhase {
     const char* label = "";  ///< barrier boundary entering this phase
     index_t pack_step = -1;
     index_t step = 0;
     index_t pack_a = 0, pack_b = 0;  ///< kPackAGroup / kPackBGroup items
-    index_t compute = 0;             ///< one mr band per item
+    index_t bands = 0;    ///< mr bands of step's block (0: no compute)
+    index_t slivers = 0;  ///< nr slivers of step's block
+    index_t groups = 0;   ///< balanced sliver groups, 1 <= groups <= slivers
 
-    [[nodiscard]] index_t items() const { return pack_a + pack_b + compute; }
+    [[nodiscard]] index_t compute_items() const { return bands * groups; }
+    [[nodiscard]] index_t items() const
+    {
+        return pack_a + pack_b + compute_items();
+    }
+    /// Band and sliver range of compute item `item` (group-major).
+    [[nodiscard]] ComputeItem compute_item(index_t item) const
+    {
+        const index_t g = item / bands;
+        return {item % bands, g * slivers / groups,
+                (g + 1) * slivers / groups};
+    }
 };
 
-/// Lower `plan` into its phase list for register tile mr x nr.
+/// Lower `plan` into its phase list for the register tile, core count and
+/// per-core L2 sub-block of `in.params`.
 ///   lookahead 1: fill [pack 0]; then per step [pack t+1 | compute t].
 ///   lookahead 0: the overlap-off baseline — step t's packing runs in its
 ///     own phase before [compute t], so no phase holds both pack and
 ///     compute items.
+/// A sliver group holds as many packed-B slivers as fit the mc x kc
+/// sub-block the §4.1 solver sizes for one core's L2 (at least one); the
+/// group count is raised until the block yields 2p compute items, where it
+/// has that many (band, sliver) tiles.
 /// Column turnovers need no phase of their own: compute items write user
 /// C directly. Boundary labels name the two phases they separate
 /// ("fill->main", "main->main", ...); the IR mutations sever boundaries.
-/// `plan` must have been built with double_buffer == (lookahead == 1).
-std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan, index_t mr,
-                                        index_t nr, int lookahead);
+/// `plan` must have been built from `in` with double_buffer ==
+/// (lookahead == 1).
+std::vector<PlanPhase> lower_block_plan(const BlockPlan& plan,
+                                        const BlockPlanInputs& in,
+                                        int lookahead);
 
 /// The whole block loop of one multiply: the schedule order (§2.2: M runs
 /// outermost when M > N, so the larger B surface is reused before A), its

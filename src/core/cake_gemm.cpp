@@ -85,6 +85,9 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
         CAKE_CHECK_MSG(ldb >= (tb ? k : n), "ldb too small for op(B)");
     }
     CAKE_CHECK(ldc >= n);
+    // Reset before any early return: a degenerate call must not report
+    // the previous multiply's blocks, traffic and phase seconds.
+    stats_ = CakeStats{};
     if (m == 0 || n == 0) return;
     const index_t elem = sizeof(T);
     check_user_operands(
@@ -108,7 +111,6 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     }
 
     Timer total_timer;
-    stats_ = CakeStats{};
 
     int p = options_.p;
     TilingOptions topts = tiling_options(options_, sizeof(T));

@@ -62,6 +62,8 @@ void CakeGemmInt8::multiply_impl(const std::uint8_t* a, index_t lda,
     CAKE_CHECK(m >= 0 && n >= 0 && k >= 0);
     CAKE_CHECK(lda >= k && ldc >= n);
     if (prepacked == nullptr) CAKE_CHECK(ldb >= n);
+    // Reset before any early return (see CakeGemmT::multiply_impl).
+    stats_ = CakeStats{};
     if (m == 0 || n == 0) return;
     check_user_operands(
         {.data = a, .rows = m, .cols = k, .ld = lda, .elem_bytes = 1},
@@ -87,7 +89,6 @@ void CakeGemmInt8::multiply_impl(const std::uint8_t* a, index_t lda,
                        "PackedBInt8 geometry does not match this context");
     }
 
-    stats_ = CakeStats{};
     const CbCall<std::int8_t> call{
         .a = a, .lda = lda, .b = b, .ldb = ldb, .c = c, .ldc = ldc,
         .m = m, .n = n, .k = k, .beta = options_.accumulate ? 1 : 0,

@@ -192,8 +192,9 @@ PackedB<T> CbExecutor<T>::pack_weights(ThreadPool& pool,
 // ---------------------------------------------------------------------------
 // The team interpreter: one persistent team walks the lowered phase list.
 // Phases are separated by spin barriers; inside a phase, work items (pack
-// sliver groups, mr compute bands) are claimed off an atomic counter so
-// edge blocks never leave cores idle. Compute items write user C directly.
+// sliver groups, band x sliver-group compute tiles) are claimed off an
+// atomic counter so edge blocks never leave cores idle. Compute items
+// write user C directly.
 // At lookahead 1 the main phases carry block t+1's pack items next to
 // block t's compute items, into the other half of the double-buffered
 // panels — packing IO runs concurrently with compute instead of on the
@@ -406,36 +407,38 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                 }
             }
         };
-        // One mr row band of step st's block computation, written straight
-        // into user C. beta applies on a column's first-ever slab; every
-        // later slab, and every slab of a revisit, accumulates.
+        // One mr row band x one sliver group of step st's block
+        // computation, written straight into user C. beta applies on a
+        // column's first-ever slab; every later slab, and every slab of a
+        // revisit, accumulates.
         auto compute_item = [&](const BlockStep& st, const B* pb,
-                                index_t band) {
+                                const ComputeItem& it) {
             const bool obs_tiles = obs::metrics_enabled();
             schedshake::interleave_point(schedshake::Point::kComputeItem);
             const index_t kp = Tr::packed_k(st.ki);
-            const index_t r = band * mr;
+            const index_t r = it.band * mr;
             const index_t mrows = std::min(mr, st.mi - r);
             const C beta = st.c_change && !st.reload ? call.beta : C(1);
             {
                 const racecheck::AccessSite site{st.step, st.coord.m,
                                                  st.coord.n, st.coord.k,
                                                  racecheck::Phase::kCompute};
-                racecheck::region_access(rc_pa_ids[st.a_slot], band,
+                racecheck::region_access(rc_pa_ids[st.a_slot], it.band,
                                          racecheck::AccessKind::kRead, site);
                 if (!use_prepacked) {
                     racecheck::region_access_range(
-                        rc_pb_ids[st.b_slot], 0, ceil_div(st.ni, nr),
+                        rc_pb_ids[st.b_slot], it.s_begin, it.s_end,
                         racecheck::AccessKind::kRead, site);
                 }
                 racecheck::region_access_block(
-                    rc_c.id, band, band + 1, 0, ceil_div(st.ni, nr),
+                    rc_c.id, it.band, it.band + 1, it.s_begin, it.s_end,
                     racecheck::AccessKind::kWrite, site);
             }
             require_extent(r * kp, mr * kp, pa_cap, "compute A sliver");
             const A* a_sliver = pa_slots[st.a_slot] + r * kp;
             const index_t c_row = (st.m0 + r) * call.ldc + st.n0;
-            for (index_t j = 0; j < st.ni; j += nr) {
+            const index_t j_end = std::min(st.ni, it.s_end * nr);
+            for (index_t j = it.s_begin * nr; j < j_end; j += nr) {
                 const index_t ncols = std::min(nr, st.ni - j);
                 require_extent(j * kp, nr * kp, pb_cap, "compute B sliver");
                 require_extent(c_row + j, (mrows - 1) * call.ldc + ncols,
@@ -460,7 +463,7 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                 ? plan.steps[static_cast<std::size_t>(ph.pack_step)]
                 : st;
             const B* pb = nullptr;
-            if (ph.compute > 0) {
+            if (ph.bands > 0) {
                 pb = use_prepacked
                     ? call.prepacked->panel(st.coord.k, st.coord.n)
                     : pb_slots[st.b_slot];
@@ -471,7 +474,7 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
             // threads exist).
             auto pack_time = [&](double d) {
                 mine.pack += d;
-                if (ph.compute > 0) mine.hidden += d;
+                if (ph.bands > 0) mine.hidden += d;
             };
             run_phase(ph.items(), [&](index_t item) {
                 if (item < ph.pack_a) {
@@ -488,9 +491,9 @@ void CbExecutor<T>::run(ThreadPool& pool, const CbCall<T>& call,
                     return;
                 }
                 item -= ph.pack_b;
-                mine.compute +=
-                    timed_item("compute", obs::Phase::kCompute, st, item,
-                               [&] { compute_item(st, pb, item); });
+                mine.compute += timed_item(
+                    "compute", obs::Phase::kCompute, st, item,
+                    [&] { compute_item(st, pb, ph.compute_item(item)); });
             });
         }
 

@@ -8,11 +8,13 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "core/fperror.hpp"
 #include "ref/naive_gemm.hpp"
 
@@ -209,6 +211,38 @@ TEST(CakeGemm, ZeroDimensionsHandled)
     CakeGemm gemm2(test_pool(), acc);
     gemm2.multiply(nullptr, 0, nullptr, 4, c2.data(), 4, 4, 4, 0);
     EXPECT_EQ(c2.at(0, 0), 3.0f);
+}
+
+// A degenerate call (m == 0, or k == 0 through the beta epilogue) does no
+// block work, so stats() must not keep reporting the previous multiply.
+template <typename Gemm, typename A, typename B, typename C>
+void expect_degenerate_calls_reset_stats(const char* what)
+{
+    const index_t n = 64;
+    std::vector<A> a(static_cast<std::size_t>(n * n), A(1));
+    std::vector<B> b(static_cast<std::size_t>(n * n), B(1));
+    std::vector<C> c(static_cast<std::size_t>(n * n), C(0));
+    Gemm gemm(test_pool());
+    const std::pair<index_t, index_t> degenerate[] = {{0, n}, {n, 0}};
+    for (const auto& [m, k] : degenerate) {
+        gemm.multiply(a.data(), n, b.data(), n, c.data(), n, n, n, n);
+        ASSERT_GT(gemm.stats().blocks_executed, 0) << what;
+        ASSERT_GT(gemm.stats().dram_read_bytes, 0u) << what;
+        gemm.multiply(a.data(), n, b.data(), n, c.data(), n, m, n, k);
+        EXPECT_EQ(gemm.stats().blocks_executed, 0)
+            << what << " m=" << m << " k=" << k;
+        EXPECT_EQ(gemm.stats().dram_read_bytes, 0u)
+            << what << " m=" << m << " k=" << k;
+    }
+}
+
+TEST(CakeGemm, DegenerateCallResetsStats)
+{
+    expect_degenerate_calls_reset_stats<CakeGemm, float, float, float>("f32");
+    expect_degenerate_calls_reset_stats<CakeGemmD, double, double, double>(
+        "f64");
+    expect_degenerate_calls_reset_stats<CakeGemmInt8, std::uint8_t,
+                                        std::int8_t, std::int32_t>("i8");
 }
 
 TEST(CakeGemm, StatsInvariants)

@@ -251,6 +251,7 @@ bool run_sweep()
         {2000, 2000, 2000},  // square (Fig. 10 protocol)
         {8000, 256, 2048},   // M-heavy / narrow-N skewed
         {3000, 3000, 96},    // shallow-K panel (DNN-style)
+        {16, 2000, 512},     // fewer mr bands than cores: split slivers
     };
     const std::vector<cake::ScheduleKind>& kinds = cake::all_schedule_kinds();
     bool all_ok = true;
@@ -415,6 +416,7 @@ bool run_numerics_sweep()
         {2000, 2000, 2000},
         {8000, 256, 2048},
         {3000, 3000, 96},
+        {16, 2000, 512},
     };
     const cake::DtypeDesc* dtypes[] = {&cake::dtype_f32(), &cake::dtype_f64(),
                                        &cake::dtype_i8()};
@@ -568,6 +570,7 @@ bool run_locality_sweep()
         {2000, 2000, 2000},
         {8000, 256, 2048},
         {3000, 3000, 96},
+        {16, 2000, 512},
     };
     bool all_ok = true;
     for (const cake::MachineSpec& machine : cake::table2_machines()) {
